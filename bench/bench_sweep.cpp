@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
   benchutil::emit(table, format);
   benchutil::footer(
       format,
-      "\nthe batch engine packs batch_slots rings per arena (bit planes, "
-      "one LinkPlane, no per-node\nheap objects) and amortizes every "
+      "\nthe batch engine packs batch_slots rings per arena (one process "
+      "arena recycled in place,\none LinkPlane) and amortizes every "
       "per-cell fixed cost; the committed reference series lives\nin "
       "BENCH_sweep.json (schema: docs/REPRODUCING.md).\n");
   return 0;

@@ -1,16 +1,28 @@
 #include "core/batch_engine.hpp"
 
+#include "election/batch_step.hpp"
+#include "sim/engine.hpp"
 #include "words/label.hpp"
 
 namespace hring::core {
 
-template <class Algo>
-void BatchRunner<Algo>::configure(const BatchConfig& config) {
+namespace {
+
+/// Campaigns run the step engine's fair activation unchanged.
+constexpr std::size_t kFairnessBound = sim::StepConfig{}.fairness_bound;
+
+}  // namespace
+
+template <class Proc>
+void BatchRunner<Proc>::configure(const BatchConfig& config,
+                                  const Proc& prototype) {
   HRING_EXPECTS(config.slots >= 1);
   HRING_EXPECTS(config.n >= 1);
   config_ = config;
   n_ = config.n;
-  algo_.configure(config.slots, n_, config.algorithm);
+  // Processes are copy-constructible but not assignable (sim::Process), so
+  // the arena is built anew rather than assign()ed.
+  procs_ = std::vector<Proc>(config.slots * n_, prototype);
   links_.reset(config.slots * n_);
   slots_.clear();
   slots_.resize(config.slots);
@@ -25,8 +37,8 @@ void BatchRunner<Algo>::configure(const BatchConfig& config) {
   chosen_buf_.reserve(n_);
 }
 
-template <class Algo>
-void BatchRunner<Algo>::activate(std::size_t cell,
+template <class Proc>
+void BatchRunner<Proc>::activate(std::size_t cell,
                                  const ring::LabeledRing& ring,
                                  std::uint64_t election_seed,
                                  std::optional<sim::ProcessId> expected_leader) {
@@ -45,21 +57,21 @@ void BatchRunner<Algo>::activate(std::size_t cell,
   slot.scheduler.reset(config_.scheduler, election_seed);
   slot.expected_leader = expected_leader;
 
-  algo_.reset_slot(s, ring);
   const std::size_t base = s * n_;
   for (std::size_t pid = 0; pid < n_; ++pid) {
+    Proc& proc = procs_[base + pid];
+    proc.restart(pid, ring.label(pid));
     links_.reset_link(base + pid);
     age_[base + pid] = 0;
     // Initial-space accounting, as in ExecutionCore::begin_run.
-    slot.stats.peak_space_bits = std::max(
-        slot.stats.peak_space_bits,
-        algo_.space_bits(base + pid, slot.label_bits));
+    slot.stats.peak_space_bits = std::max(slot.stats.peak_space_bits,
+                                          proc.space_bits(slot.label_bits));
   }
 }
 
 // hring-lint: hot-path
-template <class Algo>
-bool BatchRunner<Algo>::step_slot(std::size_t s) {
+template <class Proc>
+bool BatchRunner<Proc>::step_slot(std::size_t s) {
   Slot& slot = slots_[s];
   const std::size_t base = s * n_;
 
@@ -67,7 +79,7 @@ bool BatchRunner<Algo>::step_slot(std::size_t s) {
   for (sim::ProcessId pid = 0; pid < n_; ++pid) {
     const std::size_t g = base + pid;
     const sim::Message* head = links_.peek(in_link(s, pid));
-    if (!algo_.spec().halted.test(g) && algo_.enabled(g, head)) {
+    if (!procs_[g].halted() && procs_[g].enabled(head)) {
       enabled_buf_.push_back(pid);
     } else {
       age_[g] = 0;
@@ -77,9 +89,7 @@ bool BatchRunner<Algo>::step_slot(std::size_t s) {
 
   chosen_buf_.clear();
   for (const sim::ProcessId pid : enabled_buf_) {
-    if (age_[base + pid] >= config_.fairness_bound) {
-      chosen_buf_.push_back(pid);
-    }
+    if (age_[base + pid] >= kFairnessBound) chosen_buf_.push_back(pid);
   }
   slot.scheduler.select(enabled_buf_, chosen_buf_);
   std::sort(chosen_buf_.begin(), chosen_buf_.end());
@@ -89,20 +99,21 @@ bool BatchRunner<Algo>::step_slot(std::size_t s) {
 
   for (const sim::ProcessId pid : chosen_buf_) {
     const std::size_t g = base + pid;
+    Proc& proc = procs_[g];
     // Recompute the head: an earlier firing in this step may have changed
     // the in-link — but only by appending, never by popping another
     // process's head, so the head seen here is the one γ prescribes
     // (same argument as StepEngine::step_once).
     const sim::Message* head = links_.peek(in_link(s, pid));
-    HRING_ASSERT(!algo_.spec().halted.test(g));
-    HRING_ASSERT(algo_.enabled(g, head));
+    HRING_ASSERT(!proc.halted());
+    HRING_ASSERT(proc.enabled(head));
     election::BatchFireContext ctx(slot.stats, links_, in_link(s, pid),
                                    out_link(s, pid), pid, slot.label_bits,
                                    head);
-    algo_.fire(g, head, ctx);
+    proc.fire(head, ctx);
     ++slot.stats.actions;
-    slot.stats.peak_space_bits = std::max(
-        slot.stats.peak_space_bits, algo_.space_bits(g, slot.label_bits));
+    slot.stats.peak_space_bits = std::max(slot.stats.peak_space_bits,
+                                          proc.space_bits(slot.label_bits));
     age_[g] = 0;
   }
   for (const sim::ProcessId pid : enabled_buf_) {
@@ -116,11 +127,11 @@ bool BatchRunner<Algo>::step_slot(std::size_t s) {
   return true;
 }
 
-template <class Algo>
-bool BatchRunner<Algo>::slot_is_clean(std::size_t s) const {
+template <class Proc>
+bool BatchRunner<Proc>::slot_is_clean(std::size_t s) const {
   const std::size_t base = s * n_;
   for (std::size_t pid = 0; pid < n_; ++pid) {
-    if (!algo_.spec().halted.test(base + pid)) return false;
+    if (!procs_[base + pid].halted()) return false;
   }
   for (std::size_t pid = 0; pid < n_; ++pid) {
     if (!links_.empty(base + pid)) return false;
@@ -128,12 +139,11 @@ bool BatchRunner<Algo>::slot_is_clean(std::size_t s) const {
   return true;
 }
 
-template <class Algo>
-BatchCellResult BatchRunner<Algo>::finish_slot(std::size_t s,
+template <class Proc>
+BatchCellResult BatchRunner<Proc>::finish_slot(std::size_t s,
                                                sim::Outcome outcome) {
   Slot& slot = slots_[s];
   const std::size_t base = s * n_;
-  const election::SpecPlanes& spec = algo_.spec();
 
   // Close the statistics (make_result's epilogue; label_comparisons was
   // accumulated per step in step_all).
@@ -149,7 +159,7 @@ BatchCellResult BatchRunner<Algo>::finish_slot(std::size_t s,
 
   std::size_t leaders = 0;
   for (std::size_t pid = 0; pid < n_; ++pid) {
-    if (spec.leader.test(base + pid)) {
+    if (procs_[base + pid].is_leader()) {
       ++leaders;
       result.leader = pid;
     }
@@ -161,12 +171,12 @@ BatchCellResult BatchRunner<Algo>::finish_slot(std::size_t s,
     // compares: engine self-checks never count toward the statistic).
     bool ok = outcome == sim::Outcome::kTerminated && leaders == 1;
     if (ok) {
-      const sim::Label leader_label = spec.id[base + *result.leader];
+      const sim::Label leader_label = procs_[base + *result.leader].id();
       for (std::size_t pid = 0; ok && pid < n_; ++pid) {
-        const std::size_t g = base + pid;
-        ok = spec.done.test(g) && spec.halted.test(g) &&
-             spec.has_leader.test(g) &&
-             spec.leader_label[g].value() == leader_label.value();
+        const Proc& proc = procs_[base + pid];
+        const std::optional<sim::Label> learned = proc.leader();
+        ok = proc.done() && proc.halted() && learned.has_value() &&
+             learned->value() == leader_label.value();
       }
       if (ok && config_.check_true_leader) {
         ok = slot.expected_leader.has_value() &&
@@ -183,8 +193,8 @@ BatchCellResult BatchRunner<Algo>::finish_slot(std::size_t s,
 }
 
 // hring-lint: hot-path
-template <class Algo>
-void BatchRunner<Algo>::step_all(std::vector<BatchCellResult>& done) {
+template <class Proc>
+void BatchRunner<Proc>::step_all(std::vector<BatchCellResult>& done) {
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     if (!slots_[s].active) continue;
     Slot& slot = slots_[s];
@@ -206,7 +216,7 @@ void BatchRunner<Algo>::step_all(std::vector<BatchCellResult>& done) {
   }
 }
 
-template class BatchRunner<election::BatchAk>;
-template class BatchRunner<election::BatchChangRoberts>;
+template class BatchRunner<election::AkProcess>;
+template class BatchRunner<election::ChangRobertsProcess>;
 
 }  // namespace hring::core

@@ -5,23 +5,26 @@
 // per-cell fixed costs (process construction, engine rebinding, scheduler
 // allocation) dominate the handful of microseconds the election itself
 // takes. BatchRunner amortizes them away: it packs `slots` rings of n
-// nodes into one arena — bit/label planes for node state (BitPlane,
-// SpecPlanes), one LinkPlane for every link of every ring, one flat age
-// plane — and steps all active slots in a loop, recycling each slot for
-// the next cell the moment its election completes. No per-node heap
-// objects, no virtual dispatch on the stepping path, no allocation after
-// the arena warms up.
+// nodes into one arena — one slot-major vector of process objects, one
+// LinkPlane for every link of every ring, one flat age plane — and steps
+// all active slots in a loop, recycling each slot for the next cell the
+// moment its election completes: restart() rebinds a slot's processes to
+// the new ring in place, keeping their buffers, so the arena allocates
+// nothing once it has warmed up.
 //
-// Semantics are the scalar engine's, mirrored exactly: the same enabled
-// set construction, fairness forcing, scheduler selection (BatchScheduler
-// embeds the same concrete scheduler types by value) and firing-order
-// rules as StepEngine::step_once, over batch algorithms
-// (election/batch_step.hpp) whose actions mirror the scalar processes.
-// Per-cell Stats are byte-identical to a scalar run of the same
-// (ring, config, seed) — the batch-vs-scalar cross-check grid in
-// tests/integration/batch_engine_test enforces it field by field,
-// including the Label-comparison count, which is captured per slot as a
-// delta of the thread-local counter around each slot's step.
+// The runner runs the processes' own actions. The process type is a final
+// class (AkProcess, ChangRobertsProcess), so enabled(), space_bits() and
+// the spec-variable reads are statically dispatched and inlined, and
+// fire() is the process's action template instantiated for
+// election::BatchFireContext — the same code every other engine runs
+// through sim::Context. The stepping itself is StepEngine::step_once's:
+// the same enabled set construction, fairness forcing, scheduler
+// selection (BatchScheduler embeds the same concrete scheduler types by
+// value) and firing order. Per-cell Stats are therefore byte-identical to
+// a scalar run of the same (ring, config, seed) — the batch-vs-scalar
+// cross-check grid in tests/integration/batch_engine_test enforces it
+// field by field, including the Label-comparison count, which is captured
+// per slot as a delta of the thread-local counter around each slot's step.
 //
 // One BatchRunner is single-threaded; campaign workers each own one
 // (core/campaign.cpp) and pull cells from a shared CellQueue.
@@ -33,7 +36,8 @@
 #include <vector>
 
 #include "core/election_driver.hpp"
-#include "election/batch_step.hpp"
+#include "election/ak.hpp"
+#include "election/chang_roberts.hpp"
 #include "ring/labeled_ring.hpp"
 #include "sim/batch_link.hpp"
 #include "sim/run_result.hpp"
@@ -117,10 +121,8 @@ struct BatchConfig {
   std::size_t slots = 64;
   /// Ring size — fixed across the batch (campaigns sweep seeds, not n).
   std::size_t n = 0;
-  election::AlgorithmConfig algorithm;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
   std::uint64_t budget = 10'000'000;
-  std::size_t fairness_bound = 128;  // sim::StepConfig's default
   /// Check the terminal configuration (§II bullets) per cell.
   bool verify = true;
   /// With verify: also require the elected process to be the precomputed
@@ -128,10 +130,15 @@ struct BatchConfig {
   bool check_true_leader = false;
 };
 
-template <class Algo>
+/// `Proc` is a final Process subclass with restart(pid, id) and a fire()
+/// template instantiated for election::BatchFireContext: AkProcess or
+/// ChangRobertsProcess.
+template <class Proc>
 class BatchRunner {
  public:
-  void configure(const BatchConfig& config);
+  /// Sizes the arena: config.slots rings of config.n copies of
+  /// `prototype`, which carries the algorithm's parameters (k for A_k).
+  void configure(const BatchConfig& config, const Proc& prototype);
 
   /// Binds a free slot to cell `cell` over `ring` (size must equal
   /// config.n), with the cell's election seed. `expected_leader` is the
@@ -183,10 +190,10 @@ class BatchRunner {
 
   BatchConfig config_;
   std::size_t n_ = 0;
-  Algo algo_;
+  std::vector<Proc> procs_;  // slots * n, slot-major
   sim::LinkPlane links_;
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> age_;  // slots * n, same indexing as planes
+  std::vector<std::uint32_t> age_;  // slots * n, same indexing as procs_
   std::vector<std::size_t> free_;   // free slot indices (LIFO)
   std::size_t active_count_ = 0;
   // Shared scratch for the per-slot enabled/chosen sets (one runner is
@@ -195,10 +202,7 @@ class BatchRunner {
   std::vector<sim::ProcessId> chosen_buf_;
 };
 
-using BatchAkRunner = BatchRunner<election::BatchAk>;
-using BatchChangRobertsRunner = BatchRunner<election::BatchChangRoberts>;
-
-extern template class BatchRunner<election::BatchAk>;
-extern template class BatchRunner<election::BatchChangRoberts>;
+extern template class BatchRunner<election::AkProcess>;
+extern template class BatchRunner<election::ChangRobertsProcess>;
 
 }  // namespace hring::core

@@ -205,20 +205,22 @@ void run_scalar_cell(const SweepConfig& config, bool check_true,
   if (config.collect_telemetry) ws.registry.merge(observer.metrics());
 }
 
-template <class Algo>
-void run_batch_worker(const SweepConfig& config, bool check_true,
+/// `prototype` is the process every node of the worker's arena starts as;
+/// it carries the algorithm's parameters.
+template <class Proc>
+void run_batch_worker(const Proc& prototype, const SweepConfig& config,
+                      bool check_true,
                       std::optional<sim::ProcessId> fixed_expected,
                       CellQueue& queue, WorkerState& ws) {
   BatchConfig batch_config;
   batch_config.slots = std::max<std::size_t>(config.batch_slots, 1);
   batch_config.n = config.source.ring_size();
-  batch_config.algorithm = config.election.algorithm;
   batch_config.scheduler = config.election.scheduler;
   batch_config.budget = config.election.budget;
   batch_config.verify = config.verify;
   batch_config.check_true_leader = check_true;
-  BatchRunner<Algo> runner;
-  runner.configure(batch_config);
+  BatchRunner<Proc> runner;
+  runner.configure(batch_config, prototype);
 
   const bool fixed = config.source.kind == RingSource::Kind::kFixed;
   std::vector<BatchCellResult> done;
@@ -334,11 +336,12 @@ CampaignResult run_campaign(const SweepConfig& config) {
     if (backend == CampaignBackend::kScalar) {
       run_scalar_worker(config, check_true, queue, ws);
     } else if (config.election.algorithm.id == election::AlgorithmId::kAk) {
-      run_batch_worker<election::BatchAk>(config, check_true, fixed_expected,
-                                          queue, ws);
-    } else {
-      run_batch_worker<election::BatchChangRoberts>(
+      run_batch_worker(
+          election::AkProcess(0, sim::Label{}, config.election.algorithm.k),
           config, check_true, fixed_expected, queue, ws);
+    } else {
+      run_batch_worker(election::ChangRobertsProcess(0, sim::Label{}), config,
+                       check_true, fixed_expected, queue, ws);
     }
   };
 

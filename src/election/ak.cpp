@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 
+#include "election/batch_step.hpp"
 #include "support/assert.hpp"
 #include "words/lyndon.hpp"
 
@@ -25,12 +26,12 @@ AkProcess::AkProcess(ProcessId pid, Label id, std::size_t k)
   HRING_EXPECTS(k >= 1);
 }
 
-bool AkProcess::enabled(const Message* head) const {
-  // A1 is the unique no-reception action; afterwards every incoming
-  // message matches some guard: tokens match A2/A3 (not leader) or A5
-  // (leader), ⟨FINISH⟩ matches A4 (not leader) or A6 (leader).
-  if (init_) return true;
-  return head != nullptr;
+void AkProcess::restart(ProcessId pid, Label id) {
+  restart_spec(pid, id);
+  init_ = true;
+  string_.clear();
+  counts_.clear();
+  max_count_ = 0;
 }
 
 // hring-lint: hot-path
@@ -57,7 +58,8 @@ bool AkProcess::append_and_test(Label x) {
   return words::least_rotation_index(string_.sequence().data(), period) == 0;
 }
 
-void AkProcess::fire(const Message* head, Context& ctx) {
+template <class Ctx>
+void AkProcess::fire(const Message* head, Ctx& ctx) {
   if (init_) {
     // A1: p.INIT <- FALSE, p.string <- p.id, send ⟨p.id⟩.
     ctx.note_action("A1");
@@ -108,12 +110,9 @@ void AkProcess::fire(const Message* head, Context& ctx) {
   }
 }
 
-std::size_t AkProcess::space_bits(std::size_t label_bits) const {
-  // Paper accounting: |string| labels + p.id + p.leader (2 labels) +
-  // 3 Booleans (INIT, isLeader, done). The border array is excluded: it is
-  // a recomputable accelerator (see header).
-  return (string_.size() + 2) * label_bits + 3;
-}
+template void AkProcess::fire<Context>(const Message*, Context&);
+template void AkProcess::fire<BatchFireContext>(const Message*,
+                                                BatchFireContext&);
 
 std::string AkProcess::debug_state() const {
   std::string out = init_ ? "INIT" : (is_leader() ? "LEADER" : "GROW");

@@ -43,9 +43,31 @@ class AkProcess final : public Process {
   /// Requires k >= 1: the multiplicity bound the class A ∩ K_k promises.
   AkProcess(ProcessId pid, Label id, std::size_t k);
 
-  [[nodiscard]] bool enabled(const Message* head) const override;
-  void fire(const Message* head, Context& ctx) override;
-  [[nodiscard]] std::size_t space_bits(std::size_t label_bits) const override;
+  [[nodiscard]] bool enabled(const Message* head) const override {
+    // A1 is the unique no-reception action; afterwards every incoming
+    // message matches some guard: tokens match A2/A3 (not leader) or A5
+    // (leader), ⟨FINISH⟩ matches A4 (not leader) or A6 (leader).
+    if (init_) return true;
+    return head != nullptr;
+  }
+
+  void fire(const Message* head, Context& ctx) override {
+    fire<Context>(head, ctx);
+  }
+
+  /// Actions A1–A6, written once for every engine: instantiated for
+  /// sim::Context and for the batch engine's election::BatchFireContext.
+  template <class Ctx>
+  void fire(const Message* head, Ctx& ctx);
+
+  [[nodiscard]] std::size_t space_bits(
+      std::size_t label_bits) const override {
+    // Paper accounting: |string| labels + p.id + p.leader (2 labels) +
+    // 3 Booleans (INIT, isLeader, done). The border array is excluded: it
+    // is a recomputable accelerator (see below).
+    return (string_.size() + 2) * label_bits + 3;
+  }
+
   [[nodiscard]] std::string debug_state() const override;
   [[nodiscard]] std::unique_ptr<Process> clone() const override;
   void encode(std::vector<std::uint64_t>& out) const override;
@@ -56,6 +78,11 @@ class AkProcess final : public Process {
   [[nodiscard]] const words::LabelSequence& grown_string() const {
     return string_.sequence();
   }
+
+  /// Rebinds the process to (pid, id) in its initial state. Buffers keep
+  /// their capacity, so the batch engine's recycled slots stay
+  /// allocation-free.
+  void restart(ProcessId pid, Label id);
 
   /// Factory for the engines: every process runs A_k with the same k.
   [[nodiscard]] static sim::ProcessFactory factory(std::size_t k);

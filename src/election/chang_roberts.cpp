@@ -2,16 +2,13 @@
 
 #include <memory>
 
+#include "election/batch_step.hpp"
 #include "support/assert.hpp"
 
 namespace hring::election {
 
-bool ChangRobertsProcess::enabled(const Message* head) const {
-  if (init_) return true;
-  return head != nullptr;
-}
-
-void ChangRobertsProcess::fire(const Message* head, Context& ctx) {
+template <class Ctx>
+void ChangRobertsProcess::fire(const Message* head, Ctx& ctx) {
   if (init_) {
     ctx.note_action("CR1");
     init_ = false;
@@ -61,10 +58,9 @@ void ChangRobertsProcess::fire(const Message* head, Context& ctx) {
   }
 }
 
-std::size_t ChangRobertsProcess::space_bits(std::size_t label_bits) const {
-  // id + leader labels, plus INIT/isLeader/done Booleans.
-  return 2 * label_bits + 3;
-}
+template void ChangRobertsProcess::fire<Context>(const Message*, Context&);
+template void ChangRobertsProcess::fire<BatchFireContext>(const Message*,
+                                                          BatchFireContext&);
 
 std::string ChangRobertsProcess::debug_state() const {
   std::string out = init_ ? "INIT" : (is_leader() ? "LEADER" : "RELAY");

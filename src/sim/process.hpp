@@ -139,6 +139,19 @@ class Process {
     return true;
   }
 
+  /// Rebinds the process to position `pid` with label `id` and clears the
+  /// spec variables, as if freshly constructed. Implementations' restart()
+  /// calls this first, then resets their own fields in place — the batch
+  /// engine recycles its process arena this way (core/batch_engine.hpp).
+  void restart_spec(ProcessId pid, Label id) {
+    pid_ = pid;
+    id_ = id;
+    is_leader_ = false;
+    done_ = false;
+    leader_.reset();
+    halted_ = false;
+  }
+
   // Mutators for implementations. Deliberately unchecked: the invariant
   // monitor (not the mutator) reports spec violations, so the impossibility
   // experiments can observe a faulty election instead of aborting.

@@ -68,7 +68,7 @@ constexpr core::SchedulerKind kAllSchedulers[] = {
 
 TEST(BatchEngineCrossCheck, AkGridMatchesScalarEngine) {
   for (std::size_t k = 1; k <= 3; ++k) {
-    for (std::size_t n = 2; n <= 7; ++n) {
+    for (std::size_t n = 2; n <= 8; ++n) {
       for (const auto scheduler : kAllSchedulers) {
         SweepConfig config;
         config.election.algorithm = {AlgorithmId::kAk, k, false};
@@ -96,7 +96,7 @@ TEST(BatchEngineCrossCheck, AkGridMatchesScalarEngine) {
 }
 
 TEST(BatchEngineCrossCheck, ChangRobertsGridMatchesScalarEngine) {
-  for (std::size_t n = 2; n <= 7; ++n) {
+  for (std::size_t n = 2; n <= 8; ++n) {
     for (const auto scheduler : kAllSchedulers) {
       SweepConfig config;
       config.election.algorithm = {AlgorithmId::kChangRoberts, 1, false};
@@ -137,6 +137,31 @@ TEST(BatchEngineCrossCheck, BudgetExhaustionMatchesScalarEngine) {
   for (const auto& cell : batch) {
     EXPECT_EQ(cell.outcome, sim::Outcome::kBudgetExhausted);
     EXPECT_EQ(cell.stats.steps, 3u);
+  }
+}
+
+TEST(BatchEngineCrossCheck, TruncatedSlotsRecycleCleanly) {
+  // One slot: every cell after the first starts on the slot a truncated
+  // cell left mid-election, with grown strings, queued tokens and half-set
+  // spec variables. Recycling must leave no trace of that run.
+  for (const std::uint64_t budget : {3U, 12U, 20U}) {
+    SweepConfig config;
+    config.election.algorithm = {AlgorithmId::kAk, 2, false};
+    config.election.scheduler = core::SchedulerKind::kRandomSubset;
+    config.election.budget = budget;
+    config.source = core::RingSource::random_asymmetric(6);
+    config.cells = 8;
+    config.seed = 0x7E5C + budget;
+    config.batch_slots = 1;
+    config.verify = false;  // truncated runs have no terminal state to check
+
+    const auto batch = run_cells(config, CampaignBackend::kBatch, 1);
+    const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
+    expect_identical(batch, scalar, "budget=" + std::to_string(budget));
+    for (const auto& cell : batch) {
+      EXPECT_EQ(cell.outcome, sim::Outcome::kBudgetExhausted);
+      EXPECT_EQ(cell.stats.steps, budget);
+    }
   }
 }
 

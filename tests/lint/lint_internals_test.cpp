@@ -258,60 +258,6 @@ TEST(BitExpr, RejectsUnknownSymbolsAndSyntaxErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Canonicalization: the equivalence the batch-mirror check is built on.
-
-std::vector<std::string> canon(const std::string& code) {
-  SourceFile f;
-  f.path = "canon.cpp";
-  f.content = code;
-  lex(f);
-  return canonical_tokens(f, 0, f.tokens.size() - 1);  // excl. kEof
-}
-
-std::vector<std::string> decisions(const std::string& code) {
-  SourceFile f;
-  f.path = "decisions.cpp";
-  f.content = code;
-  lex(f);
-  return decision_sequence(f, 0, f.tokens.size() - 1);
-}
-
-TEST(Canonical, ScalarAndBatchSpellingsFold) {
-  // The scalar spelling and its batch twin canonicalize identically.
-  EXPECT_EQ(canon("if (init_) return true;"),
-            canon("if (spec_.init.test(g)) return true;"));
-  EXPECT_EQ(canon("x > id()"), canon("x > spec_.id[g]"));
-  EXPECT_EQ(canon("append_and_test(msg.label)"),
-            canon("append_and_test(nodes_[g], msg.label)"));
-  EXPECT_EQ(canon("sim::Label x"), canon("Label x"));
-}
-
-TEST(Canonical, DivergentGuardsStayDifferent) {
-  EXPECT_NE(canon("if (init_) return true;"),
-            canon("if (spec_.init.test(g) || spec_.halted.test(g)) "
-                  "return true;"));
-  EXPECT_NE(canon("x > id()"), canon("x >= spec_.id[g]"));
-}
-
-TEST(Canonical, DecisionSequenceWalksNestedControlFlow) {
-  const auto d = decisions(
-      "if (init_) { return; }\n"
-      "switch (head->kind) {\n"
-      "  case MsgKind::kToken:\n"
-      "    if (x > id()) { forward(); }\n"
-      "    break;\n"
-      "  default:\n"
-      "    break;\n"
-      "}\n");
-  ASSERT_EQ(d.size(), 5u);
-  EXPECT_EQ(d[0], "if(@init)");
-  EXPECT_EQ(d[1], "switch(head -> kind)");
-  EXPECT_EQ(d[2], "case MsgKind :: kToken");
-  EXPECT_EQ(d[3], "if(x > @id)");
-  EXPECT_EQ(d[4], "default");
-}
-
-// ---------------------------------------------------------------------------
 // Concurrency model: roles, shared declarations, and the statement tree
 // the lost-wakeup / spsc-ownership checks query.
 

@@ -45,16 +45,6 @@ void emit(const SourceFile& file, std::uint32_t line, std::uint32_t col,
   return i > 0 && (t[i - 1].is(".") || t[i - 1].is("->"));
 }
 
-/// True for classes with the guarded-action shape: Process subclasses and
-/// the batch mirrors, which expose enabled()/fire() without deriving.
-[[nodiscard]] bool guarded_shape(const Model& model, const std::string& name,
-                                 const ClassInfo& cls) {
-  if (name.empty()) return false;
-  if (model.derives_from(name)) return true;
-  return !model.methods_named(cls, "enabled").empty() &&
-         !model.methods_named(cls, "fire").empty();
-}
-
 // ---------------------------------------------------------------------------
 // codec-symmetry
 
@@ -467,7 +457,7 @@ class ConsumePathAnalyzer {
 void check_consume_discipline(const Model& model,
                               std::vector<Diagnostic>& diags) {
   for (const auto& [name, cls] : model.classes) {
-    if (!guarded_shape(model, name, cls)) continue;
+    if (name.empty() || !model.derives_from(name)) continue;
     for (const MethodInfo* m : model.methods_named(cls, "fire")) {
       if (!m->has_body || m->file == nullptr) continue;
       const ConsumeSummary s =
@@ -556,7 +546,7 @@ void scan_body_for_allocations(const MethodInfo& m, const std::string& where,
 
 void check_hot_path_alloc(const Model& model, std::vector<Diagnostic>& diags) {
   for (const auto& [name, cls] : model.classes) {
-    const bool guarded = guarded_shape(model, name, cls);
+    const bool guarded = !name.empty() && model.derives_from(name);
     for (const MethodInfo& m : cls.methods) {
       if (m.file == nullptr || !m.has_body) continue;
       const bool action_body =
@@ -597,7 +587,6 @@ void run_checks(const Model& model, const std::vector<std::string>& checks,
     if (check == "hot-path-alloc") check_hot_path_alloc(model, diags);
     if (check == "space-bound") check_space_bound(model, diags);
     if (check == "alphabet-closure") check_alphabet_closure(model, diags);
-    if (check == "batch-mirror") check_batch_mirror(model, diags);
     if (check == "atomics-discipline") check_atomics_discipline(model, diags);
     if (check == "spsc-ownership") check_spsc_ownership(model, diags);
     if (check == "pairing") check_pairing(model, diags);

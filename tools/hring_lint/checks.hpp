@@ -12,7 +12,7 @@
 //   hot-path-alloc     enabled()/fire() and `// hring-lint: hot-path`
 //                      annotated functions must not allocate.
 //
-// The four IR-level checks (space-bound, alphabet-closure, batch-mirror,
+// The three IR-level checks (space-bound, alphabet-closure,
 // atomics-discipline) live in protocol_model.hpp, and the five
 // concurrency-discipline checks (spsc-ownership, pairing, lost-wakeup,
 // no-block-in-hot-path, decode-before-trust) live in
@@ -36,10 +36,9 @@ inline const std::vector<std::string>& all_check_names() {
       "codec-symmetry",       "guard-purity",
       "consume-discipline",   "hot-path-alloc",
       "space-bound",          "alphabet-closure",
-      "batch-mirror",         "atomics-discipline",
-      "spsc-ownership",       "pairing",
-      "lost-wakeup",          "no-block-in-hot-path",
-      "decode-before-trust"};
+      "atomics-discipline",   "spsc-ownership",
+      "pairing",              "lost-wakeup",
+      "no-block-in-hot-path", "decode-before-trust"};
   return kNames;
 }
 

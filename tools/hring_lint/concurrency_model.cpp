@@ -1100,21 +1100,13 @@ class BlockReach {
   std::map<const MethodInfo*, std::optional<SinkInfo>> memo_;
 };
 
-[[nodiscard]] bool guarded_shape_c(const Model& model, const std::string& name,
-                                   const ClassInfo& cls) {
-  if (name.empty()) return false;
-  if (model.derives_from(name)) return true;
-  return !model.methods_named(cls, "enabled").empty() &&
-         !model.methods_named(cls, "fire").empty();
-}
-
 }  // namespace
 
 void check_no_block_in_hot_path(const Model& model,
                                 std::vector<Diagnostic>& diags) {
   BlockReach reach(model);
   for (const auto& [name, cls] : model.classes) {
-    const bool guarded = guarded_shape_c(model, name, cls);
+    const bool guarded = !name.empty() && model.derives_from(name);
     for (const MethodInfo& m : cls.methods) {
       if (!m.has_body || m.file == nullptr) continue;
       const bool action_root =

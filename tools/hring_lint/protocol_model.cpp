@@ -339,25 +339,6 @@ std::vector<FieldDecl> scan_fields(const ClassInfo& cls) {
 // ---------------------------------------------------------------------------
 // Shared scanning helpers
 
-/// First fire() with a body, or nullptr.
-const MethodInfo* body_of(const Model& model, const ClassInfo& cls,
-                          const std::string& name) {
-  for (const MethodInfo* m : model.methods_named(cls, name)) {
-    if (m->has_body && m->file != nullptr) return m;
-  }
-  return nullptr;
-}
-
-/// True for classes that participate in the guarded-action protocol: they
-/// derive from Process or expose the enabled/fire shape (batch algorithms).
-[[nodiscard]] bool guarded_class(const Model& model, const std::string& name,
-                                 const ClassInfo& cls) {
-  if (name.empty()) return false;
-  if (model.derives_from(name)) return true;
-  return !model.methods_named(cls, "enabled").empty() &&
-         !model.methods_named(cls, "fire").empty();
-}
-
 /// Message factory name -> tag enumerator (kToken, ...), built from the
 /// Message class's static factories.
 std::map<std::string, std::string> message_ctors(const Model& model) {
@@ -660,105 +641,6 @@ std::uint64_t BitExpr::eval(const BitEnv& env) const {
 }
 
 // ---------------------------------------------------------------------------
-// Canonicalization
-
-std::vector<std::string> canonical_tokens(const SourceFile& file,
-                                          std::size_t begin, std::size_t end) {
-  const Toks& t = file.tokens;
-  std::vector<std::string> out;
-  for (std::size_t i = begin; i < end; ++i) {
-    const Token& tok = t[i];
-    if (tok.is("sim") && i + 1 < end && t[i + 1].is("::")) {
-      ++i;
-      continue;
-    }
-    if (tok.is("spec_") && i + 1 < end && t[i + 1].is(".")) {
-      if (i + 7 < end && t[i + 2].is_ident() && t[i + 3].is(".") &&
-          t[i + 4].is("test") && t[i + 5].is("(") && t[i + 6].is_ident() &&
-          t[i + 7].is(")")) {
-        out.push_back("@" + std::string(t[i + 2].text));
-        i += 7;
-        continue;
-      }
-      if (i + 5 < end && t[i + 2].is_ident() && t[i + 3].is("[") &&
-          t[i + 4].is_ident() && t[i + 5].is("]")) {
-        out.push_back("@" + std::string(t[i + 2].text));
-        i += 5;
-        continue;
-      }
-    }
-    if (tok.is("nodes_") && i + 3 < end && t[i + 1].is("[") &&
-        t[i + 2].is_ident() && t[i + 3].is("]")) {
-      i += 3;
-      if (i + 1 < end && t[i + 1].is(",")) ++i;
-      continue;
-    }
-    if (tok.is("is_leader") && i + 2 < end && t[i + 1].is("(") &&
-        t[i + 2].is(")")) {
-      out.push_back("@leader");
-      i += 2;
-      continue;
-    }
-    if (tok.is("id") && i + 2 < end && t[i + 1].is("(") && t[i + 2].is(")")) {
-      out.push_back("@id");
-      i += 2;
-      continue;
-    }
-    if (tok.is("init_")) {
-      out.push_back("@init");
-      continue;
-    }
-    out.push_back(std::string(tok.text));
-  }
-  return out;
-}
-
-namespace {
-
-std::string join(const std::vector<std::string>& parts) {
-  std::string out;
-  for (const std::string& p : parts) {
-    if (!out.empty()) out += ' ';
-    out += p;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::string> decision_sequence(const SourceFile& file,
-                                           std::size_t begin,
-                                           std::size_t end) {
-  const Toks& t = file.tokens;
-  std::vector<std::string> out;
-  for (std::size_t i = begin; i < end; ++i) {
-    const Token& tok = t[i];
-    if ((tok.is("if") || tok.is("while") || tok.is("for") ||
-         tok.is("switch")) &&
-        i + 1 < end && t[i + 1].is("(")) {
-      const std::size_t close = skip_balanced(t, i + 1, "(", ")");
-      out.push_back(std::string(tok.text) + "(" +
-                    join(canonical_tokens(file, i + 2, close - 1)) + ")");
-      i = close - 1;  // scan the controlled statement for nested decisions
-      continue;
-    }
-    if (tok.is("case")) {
-      std::size_t j = i + 1;
-      while (j < end && !t[j].is(":")) ++j;
-      out.push_back("case " + join(canonical_tokens(file, i + 1, j)));
-      i = j;
-      continue;
-    }
-    if (tok.is("default") && i + 1 < end && t[i + 1].is(":")) {
-      out.push_back("default");
-      ++i;
-      continue;
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Extraction
 
 ProtocolIR extract_protocol_ir(const Model& model,
@@ -850,15 +732,6 @@ ProtocolIR extract_protocol_ir(const Model& model,
     for (const std::string& s : sends) alg.sends.push_back(strip_k(s));
     for (const std::string& h : handles) alg.handles.push_back(strip_k(h));
 
-    constexpr std::string_view kSuffix = "Process";
-    if (name.size() > kSuffix.size() &&
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                     kSuffix) == 0) {
-      const std::string batch =
-          "Batch" + name.substr(0, name.size() - kSuffix.size());
-      if (model.classes.count(batch) > 0) alg.batch_class = batch;
-    }
-
     ir.algorithms.push_back(std::move(alg));
   }
   std::sort(ir.algorithms.begin(), ir.algorithms.end(),
@@ -930,9 +803,6 @@ void write_protocol_ir(const ProtocolIR& ir, std::ostream& out) {
     w.key("actions").begin_array();
     for (const std::string& a : alg.actions) w.value(a);
     w.end_array();
-    if (!alg.batch_class.empty()) {
-      w.key("batch_mirror").value(alg.batch_class);
-    }
     w.end_object();
   }
   w.end_array();
@@ -987,7 +857,7 @@ void check_alphabet_closure(const Model& model,
   const auto eit = model.enums.find("MsgKind");
 
   for (const auto& [name, cls] : model.classes) {
-    if (!guarded_class(model, name, cls)) continue;
+    if (name.empty() || !model.derives_from(name)) continue;
     std::set<std::string> sends;
     std::set<std::string> handles;
     const MethodInfo* first_fire = nullptr;
@@ -1070,122 +940,6 @@ void check_alphabet_closure(const Model& model,
           }
         }
         i = body_close - 1;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// batch-mirror
-
-void check_batch_mirror(const Model& model, std::vector<Diagnostic>& diags) {
-  for (const auto& [name, cls] : model.classes) {
-    constexpr std::string_view kPrefix = "Batch";
-    if (name.rfind(kPrefix, 0) != 0 || name.size() <= kPrefix.size()) {
-      continue;
-    }
-    const std::string scalar_name =
-        name.substr(kPrefix.size()) + "Process";
-    const auto sit = model.classes.find(scalar_name);
-    if (sit == model.classes.end() || !model.derives_from(scalar_name)) {
-      continue;
-    }
-    const ClassInfo& scalar = sit->second;
-
-    // Guard parity: the canonical enabled() bodies must be identical.
-    const MethodInfo* s_enabled = body_of(model, scalar, "enabled");
-    const MethodInfo* b_enabled = body_of(model, cls, "enabled");
-    if (s_enabled != nullptr && b_enabled != nullptr) {
-      const auto s_canon = canonical_tokens(*s_enabled->file,
-                                            s_enabled->body_begin,
-                                            s_enabled->body_end);
-      const auto b_canon = canonical_tokens(*b_enabled->file,
-                                            b_enabled->body_begin,
-                                            b_enabled->body_end);
-      if (s_canon != b_canon) {
-        emit_diag(*b_enabled->file, b_enabled->line, 1, "batch-mirror",
-                  "'" + name + "::enabled' diverges from '" + scalar_name +
-                      "::enabled': canonical guard '" + join(b_canon) +
-                      "' vs scalar '" + join(s_canon) + "'",
-                  diags);
-      }
-    }
-
-    // Decision parity: same comparison sequence through fire().
-    const MethodInfo* s_fire = body_of(model, scalar, "fire");
-    const MethodInfo* b_fire = body_of(model, cls, "fire");
-    if (s_fire == nullptr || b_fire == nullptr) continue;
-    const auto s_dec = decision_sequence(*s_fire->file, s_fire->body_begin,
-                                         s_fire->body_end);
-    const auto b_dec = decision_sequence(*b_fire->file, b_fire->body_begin,
-                                         b_fire->body_end);
-    if (s_dec.size() != b_dec.size()) {
-      emit_diag(*b_fire->file, b_fire->line, 1, "batch-mirror",
-                "'" + name + "::fire' makes " +
-                    std::to_string(b_dec.size()) + " decisions but '" +
-                    scalar_name + "::fire' makes " +
-                    std::to_string(s_dec.size()) +
-                    "; the batched path no longer mirrors the scalar one",
-                diags);
-    } else {
-      for (std::size_t i = 0; i < s_dec.size(); ++i) {
-        if (s_dec[i] == b_dec[i]) continue;
-        emit_diag(*b_fire->file, b_fire->line, 1, "batch-mirror",
-                  "decision #" + std::to_string(i + 1) + " of '" + name +
-                      "::fire' is '" + b_dec[i] + "' but the scalar twin "
-                      "decides '" + s_dec[i] + "'",
-                  diags);
-        break;
-      }
-    }
-
-    // Action parity: every scalar note_action label must appear as a
-    // comment in the batch fire(), in the same order (the batch path has
-    // no Context::note_action — the comments are its action ledger).
-    std::vector<std::string> labels;
-    collect_actions(*s_fire, labels);
-    if (labels.empty()) continue;
-    const Toks& bt = b_fire->file->tokens;
-    const std::uint32_t lo = bt[b_fire->body_begin].line;
-    const std::uint32_t hi = b_fire->body_end > b_fire->body_begin
-                                 ? bt[b_fire->body_end - 1].line
-                                 : lo;
-    std::vector<const Comment*> comments;
-    for (const Comment& c : b_fire->file->comments) {
-      if (c.line >= lo && c.line <= hi) comments.push_back(&c);
-    }
-    const auto word_match = [](std::string_view text, const std::string& w) {
-      const auto is_word = [](char ch) {
-        return std::isalnum(static_cast<unsigned char>(ch)) != 0 ||
-               ch == '-';
-      };
-      std::size_t at = text.find(w);
-      while (at != std::string_view::npos) {
-        const bool left_ok = at == 0 || !is_word(text[at - 1]);
-        const std::size_t end = at + w.size();
-        const bool right_ok = end >= text.size() || !is_word(text[end]);
-        if (left_ok && right_ok) return true;
-        at = text.find(w, at + 1);
-      }
-      return false;
-    };
-    std::size_t cursor = 0;
-    for (const std::string& label : labels) {
-      bool found = false;
-      for (std::size_t c = cursor; c < comments.size(); ++c) {
-        if (word_match(comments[c]->text, label)) {
-          cursor = c + 1;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        emit_diag(*b_fire->file, b_fire->line, 1, "batch-mirror",
-                  "scalar action '" + label + "' of '" + scalar_name +
-                      "::fire' has no matching comment in '" + name +
-                      "::fire' (missing or out of order); keep the batch "
-                      "action ledger in scalar order",
-                  diags);
       }
     }
   }

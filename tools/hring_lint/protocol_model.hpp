@@ -114,7 +114,6 @@ struct AlgorithmIR {
   std::vector<std::string> sends;    // tags built via Message factories
   std::vector<std::string> handles;  // tags matched in enabled()/fire()
   std::vector<std::string> actions;  // note_action labels, source order
-  std::string batch_class;           // batched mirror class, if any
 };
 
 struct ProtocolIR {
@@ -133,27 +132,11 @@ struct ProtocolIR {
 /// documented in docs/STATIC_ANALYSIS.md).
 void write_protocol_ir(const ProtocolIR& ir, std::ostream& out);
 
-// The four IR-level checks (dispatched by run_checks).
+// The three IR-level checks (dispatched by run_checks).
 void check_space_bound(const Model& model, std::vector<Diagnostic>& diags);
 void check_alphabet_closure(const Model& model,
                             std::vector<Diagnostic>& diags);
-void check_batch_mirror(const Model& model, std::vector<Diagnostic>& diags);
 void check_atomics_discipline(const Model& model,
                               std::vector<Diagnostic>& diags);
-
-// Exposed for the unit tests -------------------------------------------------
-
-/// Canonical token spelling of [begin, end): `sim::` qualifiers dropped,
-/// spec-plane accesses (`spec_.x.test(g)`, `spec_.x[g]`) and their scalar
-/// twins (`x_`, `is_leader()`, `id()`) folded to `@x` placeholders, batch
-/// arena arguments (`nodes_[g],`) erased.
-[[nodiscard]] std::vector<std::string> canonical_tokens(const SourceFile& file,
-                                                        std::size_t begin,
-                                                        std::size_t end);
-
-/// The ordered decision sequence of a body range: every if/while/for
-/// condition, switch condition, case label and default, canonicalized.
-[[nodiscard]] std::vector<std::string> decision_sequence(
-    const SourceFile& file, std::size_t begin, std::size_t end);
 
 }  // namespace hring::lint
