@@ -155,14 +155,17 @@ TEST_P(InHostStressTest, ElectionsAcrossRingSizes) {
   }
 }
 
+// gtest prints a StressCase's raw bytes, padding included, into the test
+// name. A static array has its padding zero-filled, so the names are the
+// same on every run; temporaries built on the stack carried stack garbage.
+constexpr StressCase kStressCases[] = {
+    {AlgorithmId::kAk, 1},           {AlgorithmId::kAk, 3},
+    {AlgorithmId::kBk, 2},           {AlgorithmId::kChangRoberts, 1},
+    {AlgorithmId::kLeLann, 1},       {AlgorithmId::kPeterson, 1},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, InHostStressTest,
-    ::testing::Values(StressCase{AlgorithmId::kAk, 1},
-                      StressCase{AlgorithmId::kAk, 3},
-                      StressCase{AlgorithmId::kBk, 2},
-                      StressCase{AlgorithmId::kChangRoberts, 1},
-                      StressCase{AlgorithmId::kLeLann, 1},
-                      StressCase{AlgorithmId::kPeterson, 1}),
+    AllAlgorithms, InHostStressTest, ::testing::ValuesIn(kStressCases),
     [](const ::testing::TestParamInfo<StressCase>& param_info) {
       return std::string(algorithm_name(param_info.param.id)) + "_k" +
              std::to_string(param_info.param.k);
