@@ -1,5 +1,7 @@
 #include "core/batch_engine.hpp"
 
+#include <bit>
+
 #include "election/batch_step.hpp"
 #include "sim/engine.hpp"
 #include "words/label.hpp"
@@ -27,6 +29,8 @@ void BatchRunner<Proc>::configure(const BatchConfig& config,
   slots_.clear();
   slots_.resize(config.slots);
   age_.assign(config.slots * n_, 0);
+  words_ = (n_ + 63) / 64;
+  enabled_.assign(config.slots * words_, 0);
   free_.clear();
   // LIFO free list, lowest slot on top: a lightly loaded runner keeps
   // re-using the same few slots (warm caches) instead of striding the
@@ -67,6 +71,29 @@ void BatchRunner<Proc>::activate(std::size_t cell,
     slot.stats.peak_space_bits = std::max(slot.stats.peak_space_bits,
                                           proc.space_bits(slot.label_bits));
   }
+  // The one full scan of the slot's guards, once every in-link is empty.
+  std::fill_n(enabled_.begin() + static_cast<std::ptrdiff_t>(s * words_),
+              words_, 0);
+  for (sim::ProcessId pid = 0; pid < n_; ++pid) refresh(s, pid);
+}
+
+template <class Proc>
+bool BatchRunner<Proc>::guard(std::size_t s, sim::ProcessId pid) const {
+  const Proc& proc = procs_[s * n_ + pid];
+  return !proc.halted() && proc.enabled(links_.peek(in_link(s, pid)));
+}
+
+// hring-lint: hot-path
+template <class Proc>
+void BatchRunner<Proc>::refresh(std::size_t s, sim::ProcessId pid) {
+  std::uint64_t& word = enabled_[s * words_ + pid / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (pid % 64);
+  if (guard(s, pid)) {
+    word |= bit;
+  } else {
+    word &= ~bit;
+    age_[s * n_ + pid] = 0;
+  }
 }
 
 // hring-lint: hot-path
@@ -75,14 +102,14 @@ bool BatchRunner<Proc>::step_slot(std::size_t s) {
   Slot& slot = slots_[s];
   const std::size_t base = s * n_;
 
+  // The enabled set, ascending: the vector step_once builds by scanning
+  // every guard (see the header comment for why the bitset is exact).
   enabled_buf_.clear();
-  for (sim::ProcessId pid = 0; pid < n_; ++pid) {
-    const std::size_t g = base + pid;
-    const sim::Message* head = links_.peek(in_link(s, pid));
-    if (!procs_[g].halted() && procs_[g].enabled(head)) {
-      enabled_buf_.push_back(pid);
-    } else {
-      age_[g] = 0;
+  const std::uint64_t* bits = &enabled_[s * words_];
+  for (std::size_t w = 0; w < words_; ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      enabled_buf_.push_back(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
     }
   }
   if (enabled_buf_.empty()) return false;
@@ -91,12 +118,20 @@ bool BatchRunner<Proc>::step_slot(std::size_t s) {
   for (const sim::ProcessId pid : enabled_buf_) {
     if (age_[base + pid] >= kFairnessBound) chosen_buf_.push_back(pid);
   }
+  const bool forced = !chosen_buf_.empty();
   slot.scheduler.select(enabled_buf_, chosen_buf_);
-  std::sort(chosen_buf_.begin(), chosen_buf_.end());
-  chosen_buf_.erase(std::unique(chosen_buf_.begin(), chosen_buf_.end()),
-                    chosen_buf_.end());
+  if (forced) {
+    // Every scheduler appends a sorted subset without duplicates, so only
+    // forced picks ahead of it need the sort and dedup.
+    std::sort(chosen_buf_.begin(), chosen_buf_.end());
+    chosen_buf_.erase(std::unique(chosen_buf_.begin(), chosen_buf_.end()),
+                      chosen_buf_.end());
+  }
   HRING_ASSERT(!chosen_buf_.empty());
 
+  // Age every enabled process; the firings below reset the chosen ones to
+  // 0, so exactly the enabled-but-skipped ones end the step one older.
+  for (const sim::ProcessId pid : enabled_buf_) ++age_[base + pid];
   for (const sim::ProcessId pid : chosen_buf_) {
     const std::size_t g = base + pid;
     Proc& proc = procs_[g];
@@ -116,9 +151,16 @@ bool BatchRunner<Proc>::step_slot(std::size_t s) {
                                           proc.space_bits(slot.label_bits));
     age_[g] = 0;
   }
-  for (const sim::ProcessId pid : enabled_buf_) {
-    if (!std::binary_search(chosen_buf_.begin(), chosen_buf_.end(), pid)) {
-      ++age_[base + pid];
+
+  // After all firings, re-evaluate the fired processes and their
+  // successors, each once: chosen_buf_ is sorted, so a successor that is
+  // itself the next chosen process (cyclically) is refreshed as such.
+  for (std::size_t i = 0; i < chosen_buf_.size(); ++i) {
+    const sim::ProcessId pid = chosen_buf_[i];
+    refresh(s, pid);
+    const sim::ProcessId succ = pid + 1 == n_ ? 0 : pid + 1;
+    if (succ != chosen_buf_[i + 1 < chosen_buf_.size() ? i + 1 : 0]) {
+      refresh(s, succ);
     }
   }
   ++slot.step;
@@ -150,6 +192,14 @@ BatchCellResult BatchRunner<Proc>::finish_slot(std::size_t s,
   for (std::size_t pid = 0; pid < n_; ++pid) {
     slot.stats.peak_link_occupancy = std::max(
         slot.stats.peak_link_occupancy, links_.high_water(base + pid));
+  }
+
+  if (outcome != sim::Outcome::kBudgetExhausted) {
+    // The enabled set emptied. One full scan confirms it, so a bookkeeping
+    // slip aborts instead of filing a live election as a deadlock.
+    for (sim::ProcessId pid = 0; pid < n_; ++pid) {
+      HRING_ASSERT(!guard(s, pid));
+    }
   }
 
   BatchCellResult result;
@@ -217,6 +267,9 @@ void BatchRunner<Proc>::step_all(std::vector<BatchCellResult>& done) {
 }
 
 template class BatchRunner<election::AkProcess>;
+template class BatchRunner<election::BkProcess>;
 template class BatchRunner<election::ChangRobertsProcess>;
+template class BatchRunner<election::LeLannProcess>;
+template class BatchRunner<election::PetersonProcess>;
 
 }  // namespace hring::core

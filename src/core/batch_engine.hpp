@@ -13,18 +13,31 @@
 // nothing once it has warmed up.
 //
 // The runner runs the processes' own actions. The process type is a final
-// class (AkProcess, ChangRobertsProcess), so enabled(), space_bits() and
-// the spec-variable reads are statically dispatched and inlined, and
-// fire() is the process's action template instantiated for
-// election::BatchFireContext — the same code every other engine runs
-// through sim::Context. The stepping itself is StepEngine::step_once's:
-// the same enabled set construction, fairness forcing, scheduler
-// selection (BatchScheduler embeds the same concrete scheduler types by
-// value) and firing order. Per-cell Stats are therefore byte-identical to
-// a scalar run of the same (ring, config, seed) — the batch-vs-scalar
-// cross-check grid in tests/integration/batch_engine_test enforces it
-// field by field, including the Label-comparison count, which is captured
-// per slot as a delta of the thread-local counter around each slot's step.
+// class (AkProcess, BkProcess, ChangRobertsProcess, LeLannProcess or
+// PetersonProcess), so enabled(), space_bits() and the spec-variable reads
+// are statically dispatched and inlined, and fire() is the process's
+// action template instantiated for election::BatchFireContext — the same
+// code every other engine runs through sim::Context. The stepping itself
+// is StepEngine::step_once's: the same enabled set, fairness forcing,
+// scheduler selection (BatchScheduler embeds the same concrete scheduler
+// types by value) and firing order. Per-cell Stats are therefore
+// byte-identical to a scalar run of the same (ring, config, seed) — the
+// batch-vs-scalar cross-check grid in tests/integration/batch_engine_test
+// enforces it field by field, including the Label-comparison count, which
+// is captured per slot as a delta of the thread-local counter around each
+// slot's step.
+//
+// Only the way the enabled set is found differs. StepEngine re-evaluates
+// all n guards every step; the runner keeps each slot's enabled set as a
+// bitset (one word per 64 nodes) and, after a step's firings, re-evaluates
+// only the fired processes and their successors. That is exact under §II:
+// a guard reads only the process's own variables and the head of its
+// in-link, and a firing changes only its own variables, pops only its own
+// in-link and appends only to its out-link — the successor's in-link. No
+// other guard can change value. The set bits, read in ascending pid order,
+// are the sorted vector step_once builds, so the schedulers draw the same
+// random numbers. Guards compare message kinds, never labels, so
+// evaluating fewer of them leaves the Label-comparison count unchanged.
 //
 // One BatchRunner is single-threaded; campaign workers each own one
 // (core/campaign.cpp) and pull cells from a shared CellQueue.
@@ -37,7 +50,10 @@
 
 #include "core/election_driver.hpp"
 #include "election/ak.hpp"
+#include "election/bk.hpp"
 #include "election/chang_roberts.hpp"
+#include "election/lelann.hpp"
+#include "election/peterson.hpp"
 #include "ring/labeled_ring.hpp"
 #include "sim/batch_link.hpp"
 #include "sim/run_result.hpp"
@@ -131,13 +147,14 @@ struct BatchConfig {
 };
 
 /// `Proc` is a final Process subclass with restart(pid, id) and a fire()
-/// template instantiated for election::BatchFireContext: AkProcess or
-/// ChangRobertsProcess.
+/// template instantiated for election::BatchFireContext: one of the five
+/// algorithms' process classes.
 template <class Proc>
 class BatchRunner {
  public:
   /// Sizes the arena: config.slots rings of config.n copies of
-  /// `prototype`, which carries the algorithm's parameters (k for A_k).
+  /// `prototype`, which carries the algorithm's parameters (k for A_k and
+  /// B_k).
   void configure(const BatchConfig& config, const Proc& prototype);
 
   /// Binds a free slot to cell `cell` over `ring` (size must equal
@@ -180,6 +197,13 @@ class BatchRunner {
   /// enabled (terminal or deadlock).
   [[nodiscard]] bool step_slot(std::size_t s);
 
+  /// Node `pid`'s guard in slot `s`, evaluated from scratch.
+  [[nodiscard]] bool guard(std::size_t s, sim::ProcessId pid) const;
+
+  /// Re-evaluates node `pid`'s guard into the slot's enabled set. A node
+  /// that is disabled gets age 0, as StepEngine::step_once gives it.
+  void refresh(std::size_t s, sim::ProcessId pid);
+
   /// True iff slot `s` halted cleanly: all nodes halted, all links empty.
   [[nodiscard]] bool slot_is_clean(std::size_t s) const;
 
@@ -194,6 +218,10 @@ class BatchRunner {
   sim::LinkPlane links_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> age_;  // slots * n, same indexing as procs_
+  // Per-slot enabled sets: bit pid % 64 of word s * words_ + pid / 64 is
+  // node pid's guard in slot s.
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> enabled_;
   std::vector<std::size_t> free_;   // free slot indices (LIFO)
   std::size_t active_count_ = 0;
   // Shared scratch for the per-slot enabled/chosen sets (one runner is
@@ -203,6 +231,9 @@ class BatchRunner {
 };
 
 extern template class BatchRunner<election::AkProcess>;
+extern template class BatchRunner<election::BkProcess>;
 extern template class BatchRunner<election::ChangRobertsProcess>;
+extern template class BatchRunner<election::LeLannProcess>;
+extern template class BatchRunner<election::PetersonProcess>;
 
 }  // namespace hring::core

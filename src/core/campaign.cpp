@@ -280,11 +280,6 @@ CampaignBackend resolve_backend(const SweepConfig& config) {
     if (config.election.engine != EngineKind::kStep) {
       return "the event engine";
     }
-    const election::AlgorithmId id = config.election.algorithm.id;
-    if (id != election::AlgorithmId::kAk &&
-        id != election::AlgorithmId::kChangRoberts) {
-      return "this algorithm";
-    }
     if (!config.election.extra_observers.empty()) return "extra observers";
     if (config.collect_telemetry) return "per-cell telemetry";
     return nullptr;
@@ -335,14 +330,34 @@ CampaignResult run_campaign(const SweepConfig& config) {
   const auto worker_fn = [&](WorkerState& ws) {
     if (backend == CampaignBackend::kScalar) {
       run_scalar_worker(config, check_true, queue, ws);
-    } else if (config.election.algorithm.id == election::AlgorithmId::kAk) {
-      run_batch_worker(
-          election::AkProcess(0, sim::Label{}, config.election.algorithm.k),
-          config, check_true, fixed_expected, queue, ws);
-    } else {
-      run_batch_worker(election::ChangRobertsProcess(0, sim::Label{}), config,
-                       check_true, fixed_expected, queue, ws);
+      return;
     }
+    // The arena's prototype carries the algorithm's parameters, as
+    // election::make_factory passes them.
+    const election::AlgorithmConfig& algorithm = config.election.algorithm;
+    const auto run = [&](const auto& prototype) {
+      run_batch_worker(prototype, config, check_true, fixed_expected, queue,
+                       ws);
+    };
+    switch (algorithm.id) {
+      case election::AlgorithmId::kAk:
+        run(election::AkProcess(0, sim::Label{}, algorithm.k));
+        return;
+      case election::AlgorithmId::kBk:
+        run(election::BkProcess(0, sim::Label{}, algorithm.k,
+                                algorithm.record_history));
+        return;
+      case election::AlgorithmId::kChangRoberts:
+        run(election::ChangRobertsProcess(0, sim::Label{}));
+        return;
+      case election::AlgorithmId::kLeLann:
+        run(election::LeLannProcess(0, sim::Label{}));
+        return;
+      case election::AlgorithmId::kPeterson:
+        run(election::PetersonProcess(0, sim::Label{}));
+        return;
+    }
+    HRING_ASSERT(false);
   };
 
   const auto start = std::chrono::steady_clock::now();

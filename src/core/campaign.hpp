@@ -9,10 +9,11 @@
 // Backends. Cells execute either on the scalar engine (run_election, one
 // recycled StepEngine/EventEngine per worker thread) or on the batch
 // engine (core/batch_engine.hpp, `batch_slots` rings stepped per arena).
-// The batch backend covers the step engine with A_k and Chang–Roberts;
-// kAuto picks it whenever it applies and the scalar engine otherwise, and
-// both produce byte-identical per-cell Stats (the batch engine's
-// correctness obligation — tests/integration/batch_engine_test).
+// The batch backend runs every algorithm on the step engine; kAuto picks
+// it whenever it applies (no event engine, observers or per-cell
+// telemetry) and the scalar engine otherwise, and both produce
+// byte-identical per-cell Stats (the batch engine's correctness
+// obligation — tests/integration/batch_engine_test).
 //
 // Campaigns measure; they do not monitor. run_election's SpecMonitor (and
 // extra observers) exist for debugging single runs — a campaign forces

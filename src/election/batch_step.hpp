@@ -1,8 +1,9 @@
 // The batch engine's firing context (core/batch_engine.hpp).
 //
-// The batch engine runs the processes' own actions: AkProcess and
-// ChangRobertsProcess write fire() once, as a member template over the
-// context type, and instantiate it for sim::Context (every other engine)
+// The batch engine runs the processes' own actions: every algorithm
+// (AkProcess, BkProcess, ChangRobertsProcess, LeLannProcess and
+// PetersonProcess) writes fire() once, as a member template over the
+// context type, and instantiates it for sim::Context (every other engine)
 // and for BatchFireContext below. The election library instantiates it,
 // so the context lives here rather than in core.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "election/batch_step.hpp"
 #include "support/assert.hpp"
 
 namespace hring::election {
@@ -30,29 +31,14 @@ BkProcess::BkProcess(ProcessId pid, Label id, std::size_t k,
   HRING_EXPECTS(k >= 1);
 }
 
-bool BkProcess::enabled(const Message* head) const {
-  switch (state_) {
-    case BkState::kInit:
-      // B1: the unique no-reception action.
-      return true;
-    case BkState::kCompute:
-      // B2-B5 receive label tokens only; by Lemma 11 no other kind can be
-      // at the head here in a legal execution — leaving such a message
-      // unmatched makes the deadlock detectable instead of hiding it.
-      return head != nullptr && head->kind == sim::MsgKind::kToken;
-    case BkState::kShift:
-      // B6/B9 receive ⟨PHASE_SHIFT, x⟩ only (Lemma 11 again).
-      return head != nullptr && head->kind == sim::MsgKind::kPhaseShift;
-    case BkState::kPassive:
-      // B7 (tokens), B8 (phase shifts), B10 (finish) — everything matches.
-      return head != nullptr;
-    case BkState::kWin:
-      // B11: only ⟨FINISH, x⟩ remains in flight for the winner.
-      return head != nullptr && head->kind == sim::MsgKind::kFinishLabel;
-    case BkState::kHalt:
-      return false;  // also unreachable: halt_self() removes the process
-  }
-  HRING_ASSERT(false);
+void BkProcess::restart(ProcessId pid, Label id) {
+  restart_spec(pid, id);
+  state_ = BkState::kInit;
+  guest_ = Label{};
+  inner_ = 1;
+  outer_ = 1;
+  phase_ = 0;
+  history_.clear();
 }
 
 void BkProcess::enter_phase(Label new_guest, bool active) {
@@ -63,7 +49,8 @@ void BkProcess::enter_phase(Label new_guest, bool active) {
   }
 }
 
-void BkProcess::fire(const Message* head, Context& ctx) {
+template <class Ctx>
+void BkProcess::fire(const Message* head, Ctx& ctx) {
   if (state_ == BkState::kInit) {
     // B1: state <- COMPUTE, guest <- id, inner <- 1, outer <- 1,
     //     send ⟨guest⟩.
@@ -172,14 +159,9 @@ void BkProcess::fire(const Message* head, Context& ctx) {
   halt_self();
 }
 
-std::size_t BkProcess::space_bits(std::size_t label_bits) const {
-  // Paper accounting (Theorem 4): inner and outer are never incremented
-  // past k (⌈log k⌉ bits each), three labels (id, guest, leader), the
-  // 6-valued state (3 bits) plus isLeader and done (2 bits) = 5 bits.
-  std::size_t log_k = 0;
-  while ((std::size_t{1} << log_k) < k_) ++log_k;
-  return 2 * log_k + 3 * label_bits + 5;
-}
+template void BkProcess::fire<Context>(const Message*, Context&);
+template void BkProcess::fire<BatchFireContext>(const Message*,
+                                                BatchFireContext&);
 
 std::string BkProcess::debug_state() const {
   std::string out = bk_state_name(state_);

@@ -20,6 +20,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
+#include "support/assert.hpp"
 
 namespace hring::election {
 
@@ -62,9 +63,52 @@ class BkProcess final : public Process {
   BkProcess(ProcessId pid, Label id, std::size_t k,
             bool record_history = false);
 
-  [[nodiscard]] bool enabled(const Message* head) const override;
-  void fire(const Message* head, Context& ctx) override;
-  [[nodiscard]] std::size_t space_bits(std::size_t label_bits) const override;
+  [[nodiscard]] bool enabled(const Message* head) const override {
+    switch (state_) {
+      case BkState::kInit:
+        // B1: the unique no-reception action.
+        return true;
+      case BkState::kCompute:
+        // B2-B5 receive label tokens only; by Lemma 11 no other kind can
+        // be at the head here in a legal execution — leaving such a
+        // message unmatched makes the deadlock detectable instead of
+        // hiding it.
+        return head != nullptr && head->kind == sim::MsgKind::kToken;
+      case BkState::kShift:
+        // B6/B9 receive ⟨PHASE_SHIFT, x⟩ only (Lemma 11 again).
+        return head != nullptr && head->kind == sim::MsgKind::kPhaseShift;
+      case BkState::kPassive:
+        // B7 (tokens), B8 (phase shifts), B10 (finish) — everything
+        // matches.
+        return head != nullptr;
+      case BkState::kWin:
+        // B11: only ⟨FINISH, x⟩ remains in flight for the winner.
+        return head != nullptr && head->kind == sim::MsgKind::kFinishLabel;
+      case BkState::kHalt:
+        return false;  // also unreachable: halt_self() removes the process
+    }
+    HRING_ASSERT(false);
+  }
+
+  void fire(const Message* head, Context& ctx) override {
+    fire<Context>(head, ctx);
+  }
+
+  /// Actions B1–B11, written once for every engine: instantiated for
+  /// sim::Context and for the batch engine's election::BatchFireContext.
+  template <class Ctx>
+  void fire(const Message* head, Ctx& ctx);
+
+  [[nodiscard]] std::size_t space_bits(
+      std::size_t label_bits) const override {
+    // Paper accounting (Theorem 4): inner and outer are never incremented
+    // past k (⌈log k⌉ bits each), three labels (id, guest, leader), the
+    // 6-valued state (3 bits) plus isLeader and done (2 bits) = 5 bits.
+    std::size_t log_k = 0;
+    while ((std::size_t{1} << log_k) < k_) ++log_k;
+    return 2 * log_k + 3 * label_bits + 5;
+  }
+
   [[nodiscard]] std::string debug_state() const override;
   [[nodiscard]] std::unique_ptr<Process> clone() const override;
   void encode(std::vector<std::uint64_t>& out) const override;
@@ -80,6 +124,11 @@ class BkProcess final : public Process {
   [[nodiscard]] const std::vector<PhaseRecord>& history() const {
     return history_;
   }
+
+  /// Rebinds the process to (pid, id) in its initial state. The phase
+  /// history keeps its capacity, so the batch engine's recycled slots stay
+  /// allocation-free.
+  void restart(ProcessId pid, Label id);
 
   [[nodiscard]] static sim::ProcessFactory factory(std::size_t k,
                                                    bool record_history =

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <memory>
 
+#include "election/batch_step.hpp"
 #include "support/assert.hpp"
 
 namespace hring::election {
 
-bool LeLannProcess::enabled(const Message* head) const {
-  if (init_) return true;
-  return head != nullptr;
-}
-
-void LeLannProcess::fire(const Message* head, Context& ctx) {
+template <class Ctx>
+void LeLannProcess::fire(const Message* head, Ctx& ctx) {
   if (init_) {
     ctx.note_action("LL1");
     init_ = false;
@@ -62,10 +59,9 @@ void LeLannProcess::fire(const Message* head, Context& ctx) {
   }
 }
 
-std::size_t LeLannProcess::space_bits(std::size_t label_bits) const {
-  // id + best + leader labels, plus INIT/isLeader/done Booleans.
-  return 3 * label_bits + 3;
-}
+template void LeLannProcess::fire<Context>(const Message*, Context&);
+template void LeLannProcess::fire<BatchFireContext>(const Message*,
+                                                    BatchFireContext&);
 
 std::string LeLannProcess::debug_state() const {
   std::string out = init_ ? "INIT" : (is_leader() ? "LEADER" : "RELAY");

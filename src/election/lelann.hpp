@@ -25,14 +25,39 @@ class LeLannProcess final : public Process {
  public:
   LeLannProcess(ProcessId pid, Label id) : Process(pid, id), best_(id) {}
 
-  [[nodiscard]] bool enabled(const Message* head) const override;
-  void fire(const Message* head, Context& ctx) override;
-  [[nodiscard]] std::size_t space_bits(std::size_t label_bits) const override;
+  [[nodiscard]] bool enabled(const Message* head) const override {
+    if (init_) return true;
+    return head != nullptr;
+  }
+
+  void fire(const Message* head, Context& ctx) override {
+    fire<Context>(head, ctx);
+  }
+
+  /// The actions, written once for every engine: instantiated for
+  /// sim::Context and for the batch engine's election::BatchFireContext.
+  template <class Ctx>
+  void fire(const Message* head, Ctx& ctx);
+
+  [[nodiscard]] std::size_t space_bits(
+      std::size_t label_bits) const override {
+    // id + best + leader labels, plus INIT/isLeader/done Booleans.
+    return 3 * label_bits + 3;
+  }
+
   [[nodiscard]] std::string debug_state() const override;
   [[nodiscard]] std::unique_ptr<Process> clone() const override;
   void encode(std::vector<std::uint64_t>& out) const override;
   [[nodiscard]] bool decode(const std::uint64_t*& it,
                             const std::uint64_t* end) override;
+
+  /// Rebinds the process to (pid, id) in its initial state (batch-engine
+  /// slot reuse).
+  void restart(ProcessId pid, Label id) {
+    restart_spec(pid, id);
+    init_ = true;
+    best_ = id;
+  }
 
   [[nodiscard]] static sim::ProcessFactory factory();
 

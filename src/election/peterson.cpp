@@ -2,32 +2,13 @@
 
 #include <memory>
 
+#include "election/batch_step.hpp"
 #include "support/assert.hpp"
 
 namespace hring::election {
 
-bool PetersonProcess::enabled(const Message* head) const {
-  switch (mode_) {
-    case Mode::kInit:
-      return true;
-    case Mode::kActive:
-      // Probes alternate strictly per phase; announcements never reach an
-      // active process before it wins or relays.
-      return head != nullptr &&
-             head->kind == (expecting_second_ ? sim::MsgKind::kProbeTwo
-                                              : sim::MsgKind::kProbeOne);
-    case Mode::kRelay:
-      return head != nullptr;
-    case Mode::kWon:
-      return head != nullptr &&
-             head->kind == sim::MsgKind::kFinishLabel;
-    case Mode::kHalted:
-      return false;
-  }
-  HRING_ASSERT(false);
-}
-
-void PetersonProcess::fire(const Message* head, Context& ctx) {
+template <class Ctx>
+void PetersonProcess::fire(const Message* head, Ctx& ctx) {
   if (mode_ == Mode::kInit) {
     ctx.note_action("P-start");
     mode_ = Mode::kActive;
@@ -101,11 +82,9 @@ void PetersonProcess::fire(const Message* head, Context& ctx) {
   halt_self();
 }
 
-std::size_t PetersonProcess::space_bits(std::size_t label_bits) const {
-  // id + tid + ntid + leader labels, a 5-valued mode (3 bits), the
-  // expecting flag, and isLeader/done.
-  return 4 * label_bits + 3 + 1 + 2;
-}
+template void PetersonProcess::fire<Context>(const Message*, Context&);
+template void PetersonProcess::fire<BatchFireContext>(const Message*,
+                                                      BatchFireContext&);
 
 std::string PetersonProcess::debug_state() const {
   const char* mode = "?";

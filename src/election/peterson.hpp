@@ -13,6 +13,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
+#include "support/assert.hpp"
 
 namespace hring::election {
 
@@ -27,14 +28,57 @@ class PetersonProcess final : public Process {
  public:
   PetersonProcess(ProcessId pid, Label id) : Process(pid, id), tid_(id) {}
 
-  [[nodiscard]] bool enabled(const Message* head) const override;
-  void fire(const Message* head, Context& ctx) override;
-  [[nodiscard]] std::size_t space_bits(std::size_t label_bits) const override;
+  [[nodiscard]] bool enabled(const Message* head) const override {
+    switch (mode_) {
+      case Mode::kInit:
+        return true;
+      case Mode::kActive:
+        // Probes alternate strictly per phase; announcements never reach
+        // an active process before it wins or relays.
+        return head != nullptr &&
+               head->kind == (expecting_second_ ? sim::MsgKind::kProbeTwo
+                                                : sim::MsgKind::kProbeOne);
+      case Mode::kRelay:
+        return head != nullptr;
+      case Mode::kWon:
+        return head != nullptr && head->kind == sim::MsgKind::kFinishLabel;
+      case Mode::kHalted:
+        return false;
+    }
+    HRING_ASSERT(false);
+  }
+
+  void fire(const Message* head, Context& ctx) override {
+    fire<Context>(head, ctx);
+  }
+
+  /// The actions, written once for every engine: instantiated for
+  /// sim::Context and for the batch engine's election::BatchFireContext.
+  template <class Ctx>
+  void fire(const Message* head, Ctx& ctx);
+
+  [[nodiscard]] std::size_t space_bits(
+      std::size_t label_bits) const override {
+    // id + tid + ntid + leader labels, a 5-valued mode (3 bits), the
+    // expecting flag, and isLeader/done.
+    return 4 * label_bits + 3 + 1 + 2;
+  }
+
   [[nodiscard]] std::string debug_state() const override;
   [[nodiscard]] std::unique_ptr<Process> clone() const override;
   void encode(std::vector<std::uint64_t>& out) const override;
   [[nodiscard]] bool decode(const std::uint64_t*& it,
                             const std::uint64_t* end) override;
+
+  /// Rebinds the process to (pid, id) in its initial state (batch-engine
+  /// slot reuse).
+  void restart(ProcessId pid, Label id) {
+    restart_spec(pid, id);
+    expecting_second_ = false;
+    mode_ = Mode::kInit;
+    tid_ = id;
+    ntid_ = Label{};
+  }
 
   [[nodiscard]] static sim::ProcessFactory factory();
 

@@ -8,6 +8,7 @@
 // any divergence in steps, actions, message/bit accounting, space peaks
 // or label-comparison counts fails the grid cell that produced it).
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,6 +120,102 @@ TEST(BatchEngineCrossCheck, ChangRobertsGridMatchesScalarEngine) {
   }
 }
 
+TEST(BatchEngineCrossCheck, BkGridMatchesScalarEngine) {
+  for (std::size_t k = 1; k <= 3; ++k) {
+    for (std::size_t n = 2; n <= 8; ++n) {
+      for (const auto scheduler : kAllSchedulers) {
+        SweepConfig config;
+        config.election.algorithm = {AlgorithmId::kBk, k, false};
+        config.election.scheduler = scheduler;
+        config.source = core::RingSource::random_asymmetric(n);
+        config.cells = 5;
+        config.seed = 0xB5EED + 1000 * k + 10 * n +
+                      static_cast<std::uint64_t>(scheduler);
+        config.batch_slots = 3;  // fewer slots than cells: recycle slots
+        config.check_true_leader = true;
+
+        const auto batch = run_cells(config, CampaignBackend::kBatch, 2);
+        const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
+        expect_identical(batch, scalar,
+                         "Bk k=" + std::to_string(k) + " n=" +
+                             std::to_string(n) + " sched=" +
+                             core::scheduler_kind_name(scheduler));
+        for (const auto& cell : batch) {
+          EXPECT_EQ(cell.outcome, sim::Outcome::kTerminated);
+          EXPECT_TRUE(cell.verified);
+        }
+      }
+    }
+  }
+}
+
+/// The identified-ring baselines on distinct(n), n = 2..8, every daemon.
+void expect_distinct_grid_matches(AlgorithmId id, std::uint64_t seed) {
+  for (std::size_t n = 2; n <= 8; ++n) {
+    for (const auto scheduler : kAllSchedulers) {
+      SweepConfig config;
+      config.election.algorithm = {id, 1, false};
+      config.election.scheduler = scheduler;
+      config.source = core::RingSource::distinct(n);
+      config.cells = 5;
+      config.seed = seed + 10 * n + static_cast<std::uint64_t>(scheduler);
+      config.batch_slots = 2;
+
+      const auto batch = run_cells(config, CampaignBackend::kBatch, 2);
+      const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
+      expect_identical(batch, scalar,
+                       std::string(election::algorithm_name(id)) +
+                           " n=" + std::to_string(n) + " sched=" +
+                           core::scheduler_kind_name(scheduler));
+      for (const auto& cell : batch) {
+        EXPECT_EQ(cell.outcome, sim::Outcome::kTerminated);
+        EXPECT_TRUE(cell.verified);
+      }
+    }
+  }
+}
+
+TEST(BatchEngineCrossCheck, LeLannGridMatchesScalarEngine) {
+  expect_distinct_grid_matches(AlgorithmId::kLeLann, 0x11EED);
+}
+
+TEST(BatchEngineCrossCheck, PetersonGridMatchesScalarEngine) {
+  expect_distinct_grid_matches(AlgorithmId::kPeterson, 0x9E7ED);
+}
+
+TEST(BatchEngineCrossCheck, RingsWiderThanOneBitsetWordMatchScalarEngine) {
+  // n = 70 spans two words of a slot's enabled set; three cells on two
+  // slots also recycle a slot over the multi-word layout. B_k under the
+  // convoy daemon starves nodes past the fairness bound here, so this is
+  // also the grid's case of forced picks.
+  const election::AlgorithmConfig algorithms[] = {
+      {AlgorithmId::kChangRoberts, 1, false},
+      {AlgorithmId::kBk, 1, false},
+  };
+  for (const auto& algorithm : algorithms) {
+    for (const auto scheduler : kAllSchedulers) {
+      SweepConfig config;
+      config.election.algorithm = algorithm;
+      config.election.scheduler = scheduler;
+      config.source = core::RingSource::distinct(70);
+      config.cells = 3;
+      config.seed = 0x70EED + static_cast<std::uint64_t>(scheduler);
+      config.batch_slots = 2;
+
+      const auto batch = run_cells(config, CampaignBackend::kBatch, 1);
+      const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
+      expect_identical(batch, scalar,
+                       std::string(election::algorithm_name(algorithm.id)) +
+                           " n=70 sched=" +
+                           core::scheduler_kind_name(scheduler));
+      for (const auto& cell : batch) {
+        EXPECT_EQ(cell.outcome, sim::Outcome::kTerminated);
+        EXPECT_TRUE(cell.verified);
+      }
+    }
+  }
+}
+
 TEST(BatchEngineCrossCheck, BudgetExhaustionMatchesScalarEngine) {
   // A budget that truncates mid-election must cut both engines at the
   // same step with the same partial Stats.
@@ -158,6 +255,30 @@ TEST(BatchEngineCrossCheck, TruncatedSlotsRecycleCleanly) {
     const auto batch = run_cells(config, CampaignBackend::kBatch, 1);
     const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
     expect_identical(batch, scalar, "budget=" + std::to_string(budget));
+    for (const auto& cell : batch) {
+      EXPECT_EQ(cell.outcome, sim::Outcome::kBudgetExhausted);
+      EXPECT_EQ(cell.stats.steps, budget);
+    }
+  }
+}
+
+TEST(BatchEngineCrossCheck, BkTruncatedSlotsRecycleCleanly) {
+  // As above for B_k: budgets that stop mid-phase leave guests, counters,
+  // half-set phase state and queued barrier messages behind in the slot.
+  for (const std::uint64_t budget : {3U, 12U, 40U, 90U}) {
+    SweepConfig config;
+    config.election.algorithm = {AlgorithmId::kBk, 2, false};
+    config.election.scheduler = core::SchedulerKind::kRandomSubset;
+    config.election.budget = budget;
+    config.source = core::RingSource::random_asymmetric(6);
+    config.cells = 8;
+    config.seed = 0xB7E5C + budget;
+    config.batch_slots = 1;
+    config.verify = false;  // truncated runs have no terminal state to check
+
+    const auto batch = run_cells(config, CampaignBackend::kBatch, 1);
+    const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
+    expect_identical(batch, scalar, "Bk budget=" + std::to_string(budget));
     for (const auto& cell : batch) {
       EXPECT_EQ(cell.outcome, sim::Outcome::kBudgetExhausted);
       EXPECT_EQ(cell.stats.steps, budget);

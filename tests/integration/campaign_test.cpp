@@ -159,14 +159,16 @@ TEST(CampaignTest, BackendResolution) {
   SweepConfig config = ak_campaign();
   EXPECT_EQ(core::resolve_backend(config), CampaignBackend::kBatch);
 
-  // Algorithms outside the batch engine's coverage fall back to scalar.
-  SweepConfig peterson = config;
-  peterson.election.algorithm = {AlgorithmId::kPeterson, 1, false};
-  peterson.source = core::RingSource::distinct(6);
-  peterson.check_true_leader = false;
-  EXPECT_EQ(core::resolve_backend(peterson), CampaignBackend::kScalar);
+  // Every algorithm runs batched on the step engine.
+  for (const AlgorithmId id : election::all_algorithms()) {
+    SweepConfig algorithm = config;
+    algorithm.election.algorithm.id = id;
+    EXPECT_EQ(core::resolve_backend(algorithm), CampaignBackend::kBatch)
+        << election::algorithm_name(id);
+  }
 
-  // So does the event engine and per-cell telemetry collection.
+  // The event engine falls back to scalar, and so does per-cell telemetry
+  // collection.
   SweepConfig event = config;
   event.election.engine = core::EngineKind::kEvent;
   EXPECT_EQ(core::resolve_backend(event), CampaignBackend::kScalar);
@@ -175,15 +177,17 @@ TEST(CampaignTest, BackendResolution) {
   EXPECT_EQ(core::resolve_backend(telemetry), CampaignBackend::kScalar);
 
   // Requesting the batch backend outside its coverage is an error.
-  peterson.backend = CampaignBackend::kBatch;
-  EXPECT_THROW((void)core::resolve_backend(peterson), std::invalid_argument);
-  EXPECT_THROW((void)core::run_campaign(peterson), std::invalid_argument);
+  event.backend = CampaignBackend::kBatch;
+  EXPECT_THROW((void)core::resolve_backend(event), std::invalid_argument);
+  EXPECT_THROW((void)core::run_campaign(event), std::invalid_argument);
 }
 
 TEST(CampaignTest, ScalarFallbackRunsUncoveredAlgorithms) {
+  // The batch engine covers every algorithm on the step engine; the event
+  // engine is what it leaves to the scalar backend.
   SweepConfig config;
   config.election.algorithm = {AlgorithmId::kPeterson, 1, false};
-  config.election.scheduler = core::SchedulerKind::kRandomSingle;
+  config.election.engine = core::EngineKind::kEvent;
   config.source = core::RingSource::distinct(5);
   config.cells = 8;
   config.seed = 0xFA11BAC;

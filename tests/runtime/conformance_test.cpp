@@ -60,13 +60,18 @@ TEST_P(ConformanceMatrixTest, SimulatorAndRuntimeAgree) {
   }
 }
 
+// gtest prints a parameter's raw bytes, padding included, into the test
+// name. A static array has its padding zero-filled, so the names are the
+// same on every run; temporaries built on the stack carried stack garbage.
+constexpr ConformanceCase kConformanceCases[] = {
+    {AlgorithmId::kAk, 1},           {AlgorithmId::kAk, 2},
+    {AlgorithmId::kAk, 3},           {AlgorithmId::kChangRoberts, 1},
+    {AlgorithmId::kBk, 2},
+};
+
 INSTANTIATE_TEST_SUITE_P(
     AcceptanceMatrix, ConformanceMatrixTest,
-    ::testing::Values(ConformanceCase{AlgorithmId::kAk, 1},
-                      ConformanceCase{AlgorithmId::kAk, 2},
-                      ConformanceCase{AlgorithmId::kAk, 3},
-                      ConformanceCase{AlgorithmId::kChangRoberts, 1},
-                      ConformanceCase{AlgorithmId::kBk, 2}),
+    ::testing::ValuesIn(kConformanceCases),
     [](const ::testing::TestParamInfo<ConformanceCase>& param_info) {
       return std::string(algorithm_name(param_info.param.id)) + "_k" +
              std::to_string(param_info.param.k);
@@ -128,11 +133,15 @@ TEST_P(ScaleBudgetTest, ScaleElectionStaysInPaperBudget) {
 // time — at n = 1000 nearly every firing pays a futex wake plus a
 // context switch among a thousand sleepers, minutes of wall clock — so
 // its Theorem 4 budget is checked at n = 192 instead (same code paths,
-// seconds not minutes).
+// seconds not minutes). A static array, for stable test names (see
+// kConformanceCases).
+constexpr ScaleCase kScaleCases[] = {
+    {AlgorithmId::kAk, 1, 1000},
+    {AlgorithmId::kBk, 2, 192},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    PaperAlgorithms, ScaleBudgetTest,
-    ::testing::Values(ScaleCase{AlgorithmId::kAk, 1, 1000},
-                      ScaleCase{AlgorithmId::kBk, 2, 192}),
+    PaperAlgorithms, ScaleBudgetTest, ::testing::ValuesIn(kScaleCases),
     [](const ::testing::TestParamInfo<ScaleCase>& param_info) {
       return std::string(algorithm_name(param_info.param.id)) + "_k" +
              std::to_string(param_info.param.k) + "_n" +
