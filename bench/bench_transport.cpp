@@ -1,13 +1,13 @@
 // Experiment E17 (extension) — transport-layer throughput and latency.
 //
-// The same elections on the three execution substrates behind the
-// Transport concept: the step engine on simulated links (sim), the
-// mutex-channel threaded runtime (channel), and the in-host runtime
-// (inhost: one OS thread per process, lock-free SPSC byte links,
-// wire-framed messages). Throughput is whole elections per second;
-// the inhost rows also report per-message wire latency quantiles from
-// the runtime's inhost_message_latency_ns histogram — the cost of a
-// real enqueue→decode hop, which the simulator abstracts to zero.
+// The same elections on two execution substrates: the step engine on
+// simulated links (sim) and the in-host runtime (inhost: one OS thread
+// per process, lock-free SPSC byte links, wire-framed messages), the
+// latter with and without the flight recorder. Throughput is whole
+// elections per second; the inhost rows also report per-message wire
+// latency quantiles from the runtime's inhost_message_latency_ns
+// histogram — the cost of a real enqueue→decode hop, which the simulator
+// abstracts to zero.
 #include <chrono>
 #include <iostream>
 #include <optional>
@@ -16,7 +16,6 @@
 #include "core/election_driver.hpp"
 #include "ring/generator.hpp"
 #include "runtime/inhost/inhost_ring.hpp"
-#include "runtime/threaded_ring.hpp"
 #include "support/table.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -69,23 +68,6 @@ int main(int argc, char** argv) {
         cell.msgs = result.stats.messages_sent;
         cell.leaders_ok =
             cell.leaders_ok &&
-            result.leader_pid() == std::optional<sim::ProcessId>(expected);
-      }
-      cell.elections_per_sec =
-          kRuns / std::chrono::duration<double>(Clock::now() - t0).count();
-      cells.push_back(cell);
-    }
-
-    {  // channel: the mutex/cv threaded runtime.
-      Cell cell;
-      cell.transport = "channel";
-      const auto t0 = Clock::now();
-      for (int run = 0; run < kRuns; ++run) {
-        const auto result = runtime::run_threaded(*ring, factory);
-        cell.msgs = result.messages_sent;
-        cell.leaders_ok =
-            cell.leaders_ok &&
-            result.outcome == sim::Outcome::kTerminated &&
             result.leader_pid() == std::optional<sim::ProcessId>(expected);
       }
       cell.elections_per_sec =
@@ -165,8 +147,8 @@ int main(int argc, char** argv) {
 
   benchutil::emit(table, format, merged);
   benchutil::footer(format,
-                    "\nsim pays no synchronization; channel pays one "
-                    "mutex+cv per hop; inhost pays encode/decode plus a "
-                    "futex doorbell only when the consumer parked.\n");
+                    "\nsim pays no synchronization; inhost pays "
+                    "encode/decode plus a futex doorbell only when the "
+                    "consumer parked.\n");
   return 0;
 }

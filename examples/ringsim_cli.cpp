@@ -17,7 +17,6 @@
 #include "core/campaign.hpp"
 #include "core/election_driver.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel_sweep.hpp"
 #include "core/spec_audit.hpp"
 #include "core/verification.hpp"
 #include "ring/classes.hpp"

@@ -1,8 +1,9 @@
 // Real concurrency demo: the same Process implementations that run in
-// the simulators run here on one OS thread per process, with blocking
-// FIFO channels. The OS scheduler supplies the asynchrony; §II's fairness
-// and reliability assumptions hold, so Theorems 2/3 apply — every run
-// elects the true leader, whatever the interleaving.
+// the simulators run here on one OS thread per process, on the in-host
+// runtime's lock-free FIFO links. The OS scheduler supplies the
+// asynchrony; §II's fairness and reliability assumptions hold, so
+// Theorems 2/3 apply — every run elects the true leader, whatever the
+// interleaving.
 //
 //   $ ./threaded_demo [n] [k] [runs]
 #include <cstdlib>
@@ -11,7 +12,7 @@
 #include "election/algorithm.hpp"
 #include "ring/classes.hpp"
 #include "ring/generator.hpp"
-#include "runtime/threaded_ring.hpp"
+#include "runtime/inhost/inhost_ring.hpp"
 
 int main(int argc, char** argv) {
   using namespace hring;
@@ -35,13 +36,15 @@ int main(int argc, char** argv) {
   std::cout << "true leader: p" << expected << " (label "
             << words::to_string(ring->label(expected)) << ")\n\n";
 
+  runtime::InHostConfig config;
+  config.record_trace = false;
   for (const auto algo :
        {election::AlgorithmId::kAk, election::AlgorithmId::kBk}) {
     std::cout << election::algorithm_name(algo) << " on " << n
               << " OS threads:\n";
     for (int run = 0; run < runs; ++run) {
-      const auto result = runtime::run_threaded(
-          *ring, election::make_factory({algo, k, false}));
+      const auto result = runtime::run_inhost(
+          *ring, election::make_factory({algo, k, false}), config);
       const auto leader = result.leader_pid();
       std::cout << "  run " << run << ": "
                 << sim::outcome_name(result.outcome) << ", leader p"

@@ -80,7 +80,7 @@ void BatchRunner<Proc>::activate(std::size_t cell,
 template <class Proc>
 bool BatchRunner<Proc>::guard(std::size_t s, sim::ProcessId pid) const {
   const Proc& proc = procs_[s * n_ + pid];
-  return !proc.halted() && proc.enabled(links_.peek(in_link(s, pid)));
+  return !proc.halted() && proc.enabled(links_.head(in_link(s, pid)));
 }
 
 // hring-lint: hot-path
@@ -139,7 +139,7 @@ bool BatchRunner<Proc>::step_slot(std::size_t s) {
     // the in-link — but only by appending, never by popping another
     // process's head, so the head seen here is the one γ prescribes
     // (same argument as StepEngine::step_once).
-    const sim::Message* head = links_.peek(in_link(s, pid));
+    const sim::Message* head = links_.head(in_link(s, pid));
     HRING_ASSERT(!proc.halted());
     HRING_ASSERT(proc.enabled(head));
     election::BatchFireContext ctx(slot.stats, links_, in_link(s, pid),

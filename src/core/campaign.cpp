@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <mutex>
@@ -11,7 +12,6 @@
 
 #include "core/batch_engine.hpp"
 #include "core/cell_queue.hpp"
-#include "core/parallel_sweep.hpp"
 #include "core/verification.hpp"
 #include "ring/generator.hpp"
 #include "support/assert.hpp"
@@ -64,6 +64,13 @@ RingSource RingSource::uniform_random(std::size_t n, std::size_t alphabet) {
 }
 
 namespace {
+
+/// Number of workers when the config leaves it at 0: the hardware
+/// concurrency, at least 1.
+std::size_t default_worker_count() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 /// One ring for one cell, from the cell's derived ring seed alone.
 ring::LabeledRing make_cell_ring(const RingSource& source,

@@ -170,6 +170,8 @@ struct CampaignResult {
 [[nodiscard]] CampaignBackend resolve_backend(const SweepConfig& config);
 
 /// Runs the campaign. Deterministic in everything but the timing fields.
+/// The first exception thrown on a worker (a cell_sink's, say) is
+/// rethrown here once every worker has stopped.
 [[nodiscard]] CampaignResult run_campaign(const SweepConfig& config);
 
 }  // namespace hring::core

@@ -3,10 +3,9 @@
 // A campaign is an indexed set of independent cells [0, cells). Workers
 // claim contiguous spans with one atomic fetch_add — wait-free, no locks,
 // no per-cell allocation — and run every cell of a claimed span before
-// claiming again. Span claiming replaces parallel_map's one-index-per-claim
-// task model for campaigns: at a million elections per second, claiming a
-// cache line of cells at a time keeps the atomic off the per-election path
-// while preserving dynamic load balance.
+// claiming again. Spans rather than single indices: at a million
+// elections per second, claiming a cache line of cells at a time keeps the
+// atomic off the per-election path while preserving dynamic load balance.
 //
 // Because cells are identified by index and every cell derives its
 // randomness from (campaign seed, index) alone (derive_cell_seeds), the

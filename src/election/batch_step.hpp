@@ -58,7 +58,7 @@ class BatchFireContext {
     ++stats_.sent_by_kind[sim::kind_index(msg.kind)];
     ++stats_.sent_by_process[pid_];
     stats_.message_bits_sent += sim::message_bits(msg, label_bits_);
-    links_.send(out_link_, msg);
+    links_.push(out_link_, msg);
   }
 
   /// Campaigns record no traces, so action labels are dropped.

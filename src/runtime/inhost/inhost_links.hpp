@@ -3,7 +3,7 @@
 // Port i is the §II link S(p_i, p_{i+1}), realized as a lock-free
 // SpscByteQueue whose producer is p_i's worker thread and whose consumer
 // is p_{i+1}'s. Messages cross as hardened wire frames (runtime/wire.hpp)
-// — send() encodes, peek()/try_recv() decode — so this backend exercises
+// — send_cancelable() encodes, peek() decodes — so this backend exercises
 // the byte path a distributed deployment would, not in-memory Message
 // hand-off.
 //
@@ -11,22 +11,19 @@
 // counts it in rejects(port), and moves on to the next frame. The
 // election keeps running over the surviving traffic; the mutation tests
 // (tests/runtime/inhost_ring_test.cpp) inject garbage via poke_raw() and
-// assert exactly this containment. Satisfies sim::Transport; the
-// concurrent caveats mirror ChannelRing — peek's pointer lives in a
-// per-port scratch owned by the port's single consumer.
+// assert exactly this containment. peek's pointer lives in a per-port
+// scratch owned by the port's single consumer.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "runtime/inhost/spsc_queue.hpp"
 #include "runtime/wire.hpp"
 #include "sim/message.hpp"
-#include "sim/transport.hpp"
 #include "support/assert.hpp"
 
 namespace hring::runtime {
@@ -127,7 +124,7 @@ class InHostLinks {
   /// complete valid frame is queued. Rejected frames are discarded and
   /// counted; the scan continues to the next frame, so corruption never
   /// wedges the link. The pointer stays valid until the port's consumer
-  /// next calls peek/try_recv (single-consumer discipline).
+  /// next calls peek/recv_peeked (single-consumer discipline).
   [[nodiscard]] const sim::Message* peek(std::size_t port) {
     HRING_EXPECTS(port < queues_.size());
     PortScratch& scratch = scratch_[port];
@@ -168,13 +165,7 @@ class InHostLinks {
     return scratch.msg;
   }
 
-  [[nodiscard]] std::optional<sim::Message> try_recv(std::size_t port) {
-    if (peek(port) == nullptr) return std::nullopt;
-    std::uint64_t ts = 0;
-    return recv_peeked(port, ts);
-  }
-
-  /// Uncancelable Transport-face send (blocks until room).
+  /// Uncancelable send (blocks until room).
   void send(std::size_t port, const sim::Message& msg) {
     (void)send_cancelable(port, msg, [] { return false; });
   }
@@ -235,7 +226,5 @@ class InHostLinks {
   std::unique_ptr<Doorbell[]> doorbells_;
   std::size_t label_bits_ = 0;
 };
-
-static_assert(sim::Transport<InHostLinks>);
 
 }  // namespace hring::runtime

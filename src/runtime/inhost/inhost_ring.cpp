@@ -254,7 +254,7 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
   }
   // Queue capacity: every algorithm here keeps O(1) frames in flight per
   // process; 4n+16 frames bounds a runaway at backpressure instead of
-  // memory exhaustion (same rationale as the threaded runtime's 2n+8).
+  // memory exhaustion.
   const std::size_t capacity_bytes =
       config.queue_capacity_bytes > 0
           ? config.queue_capacity_bytes

@@ -1,13 +1,13 @@
-// The first real ring runtime: one OS thread per process, lock-free SPSC
-// byte links, messages as hardened wire frames.
+// The ring runtime: one OS thread per process, lock-free SPSC byte
+// links, messages as hardened wire frames.
 //
-// Where runtime/threaded_ring.hpp demonstrates the algorithms on mutex
-// channels, this backend is the deployment-shaped one: a membership
-// bootstrap (join → set_next → start_election) brings the ring up, the
-// data plane is runtime/inhost/inhost_links.hpp (no locks, no in-memory
-// Message hand-off — every message is encoded to bytes and decoded back),
+// The same Process code that runs in the simulators runs here, with the
+// OS scheduler supplying the asynchrony. A membership bootstrap
+// (join → set_next → start_election) brings the ring up, the data plane
+// is runtime/inhost/inhost_links.hpp (no locks, no in-memory Message
+// hand-off — every message is encoded to bytes and decoded back),
 // workers emit liveness beats, and a watchdog declares deadlock after a
-// quiet period exactly like the threaded runtime.
+// quiet period with no firing, as the engines report a stalled run.
 //
 // Every firing is stamped from one global sequence counter *before* it
 // consumes or sends. If firing B consumes a message sent by firing A,

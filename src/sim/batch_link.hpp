@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sim/message.hpp"
-#include "sim/transport.hpp"
 #include "support/assert.hpp"
 
 namespace hring::sim {
@@ -93,28 +92,6 @@ class LinkPlane {
     return msg;
   }
 
-  // -- Transport face (sim/transport.hpp) ----------------------------------
-  // The arena is port-indexed already; these spell the uniform vocabulary
-  // over the same inlined ring-buffer operations.
-  // hring-lint: hot-path
-  void send(std::size_t link, const Message& msg) { push(link, msg); }
-
-  // hring-lint: hot-path
-  [[nodiscard]] const Message* peek(std::size_t link) const {
-    return head(link);
-  }
-
-  [[nodiscard]] std::optional<Message> try_recv(std::size_t link) {
-    if (empty(link)) return std::nullopt;
-    return pop(link);
-  }
-
-  [[nodiscard]] std::size_t depth(std::size_t link) const {
-    return size(link);
-  }
-
-  [[nodiscard]] std::size_t ports() const { return links_; }
-
  private:
   void grow();
 
@@ -125,7 +102,5 @@ class LinkPlane {
   std::size_t links_ = 0;
   std::size_t stride_ = 0;  // slots per link; always a power of two
 };
-
-static_assert(Transport<LinkPlane>);
 
 }  // namespace hring::sim

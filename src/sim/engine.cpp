@@ -27,7 +27,8 @@ void ExecutionCore::reset_core(const ring::LabeledRing& ring,
     HRING_ENSURES(processes_.back() != nullptr);
     HRING_ENSURES(processes_.back()->pid() == pid);
   }
-  links_.reset(n);
+  links_.resize(n);
+  for (Link& link : links_) link.reset();  // keeps each buffer's capacity
   stats_.reset(n);
   observers_.clear();
   stop_ctx_ = nullptr;
@@ -43,19 +44,19 @@ const Process& ExecutionCore::process(ProcessId pid) const {
 }
 
 const Link& ExecutionCore::out_link(ProcessId pid) const {
-  HRING_EXPECTS(pid < links_.ports());
+  HRING_EXPECTS(pid < links_.size());
   return links_[pid];
 }
 
 Link& ExecutionCore::in_link_of(ProcessId pid) {
-  HRING_EXPECTS(pid < links_.ports());
+  HRING_EXPECTS(pid < links_.size());
   // pid is already reduced mod n: branch instead of hardware modulo on the
   // per-firing hot path.
-  return links_[pid == 0 ? links_.ports() - 1 : pid - 1];
+  return links_[pid == 0 ? links_.size() - 1 : pid - 1];
 }
 
 Link& ExecutionCore::out_link_of(ProcessId pid) {
-  HRING_EXPECTS(pid < links_.ports());
+  HRING_EXPECTS(pid < links_.size());
   return links_[pid];
 }
 
@@ -67,7 +68,8 @@ Process& ExecutionCore::mutable_process(ProcessId pid) {
 // hring-lint: hot-path
 const Message* ExecutionCore::deliverable_head(ProcessId pid,
                                                double now) const {
-  return links_[pid == 0 ? links_.ports() - 1 : pid - 1].head(now);
+  HRING_EXPECTS(pid < links_.size());
+  return links_[pid == 0 ? links_.size() - 1 : pid - 1].head(now);
 }
 
 bool ExecutionCore::terminal_is_clean() const {

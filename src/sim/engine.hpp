@@ -28,7 +28,6 @@
 #include "sim/fault_model.hpp"
 #include "sim/link.hpp"
 #include "sim/observer.hpp"
-#include "sim/transport.hpp"
 #include "sim/process.hpp"
 #include "sim/run_result.hpp"
 #include "sim/scheduler.hpp"
@@ -144,9 +143,8 @@ class ExecutionCore : public ExecutionView {
   void update_space(ProcessId pid);
 
   std::vector<std::unique_ptr<Process>> processes_;
-  /// The engines' Transport backend (sim/transport.hpp): port i is the
-  /// link p_i -> p_{i+1}.
-  LinkArray links_;
+  /// links_[i] is the link p_i -> p_{i+1}.
+  std::vector<Link> links_;
   std::size_t label_bits_ = 0;
   /// Scratch event reused across firings; filled only when observers are
   /// attached (see ActionEvent's lifetime notes).

@@ -1,5 +1,6 @@
 // Campaign semantics: worker-count and batch-slot invariance, the
-// one-seed determinism contract, backend resolution, and cell streaming.
+// one-seed determinism contract, backend resolution, cell streaming and
+// exception propagation out of the workers.
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
@@ -139,6 +140,40 @@ TEST(CampaignTest, SinkIsInvokedExactlyOncePerCell) {
   for (std::size_t i = 0; i < per_cell.size(); ++i) {
     EXPECT_EQ(per_cell[i].load(), 1u) << "cell " << i;
   }
+}
+
+TEST(CampaignTest, SinkExceptionReachesTheCaller) {
+  // A worker's first exception is rethrown on the caller, message intact,
+  // whether the cells ran inline (one worker) or on a pool.
+  for (const auto backend :
+       {CampaignBackend::kBatch, CampaignBackend::kScalar}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      SweepConfig config = ak_campaign();
+      config.backend = backend;
+      config.workers = workers;
+      config.cell_sink = [](const core::CellView& view) {
+        if (view.cell == 7) throw std::runtime_error("sink boom");
+      };
+      try {
+        (void)core::run_campaign(config);
+        ADD_FAILURE() << core::campaign_backend_name(backend)
+                      << " workers=" << workers << ": no exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "sink boom")
+            << core::campaign_backend_name(backend) << " workers="
+            << workers;
+      }
+    }
+  }
+}
+
+TEST(CampaignTest, ZeroWorkersResolvesToAtLeastOne) {
+  SweepConfig config = ak_campaign();
+  config.workers = 0;
+  const auto result = core::run_campaign(config);
+  EXPECT_GE(result.workers, 1u);
+  EXPECT_LE(result.workers, config.cells);
+  EXPECT_EQ(result.outcome_count(sim::Outcome::kTerminated), config.cells);
 }
 
 TEST(CampaignTest, QuantilesComeFromMergedStatsHistograms) {

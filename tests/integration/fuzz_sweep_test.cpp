@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "core/parallel_sweep.hpp"
 #include "ring/classes.hpp"
 #include "ring/generator.hpp"
 
@@ -88,12 +87,11 @@ Case run_case(std::uint64_t index) {
 }
 
 TEST(FuzzSweepTest, TwoHundredRandomConfigurationsAllVerify) {
-  const auto cases =
-      parallel_map<Case>(200, [](std::size_t i) { return run_case(i); });
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    EXPECT_TRUE(cases[i].ok)
-        << "case " << i << ": " << cases[i].description << "\n"
-        << cases[i].error;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const Case result = run_case(i);
+    EXPECT_TRUE(result.ok)
+        << "case " << i << ": " << result.description << "\n"
+        << result.error;
   }
 }
 

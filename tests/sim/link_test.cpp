@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/batch_link.hpp"
+
 namespace hring::sim {
 namespace {
 
@@ -161,6 +163,41 @@ TEST(LinkTest, ResetReuseKeepsFifoAndHighWaterExact) {
     link.reset();
     EXPECT_EQ(link.high_water(), 0u);
   }
+}
+
+TEST(LinkPlaneTest, FifoPerLinkWithStableHeadAndIndependentLinks) {
+  LinkPlane links;
+  links.reset(3);
+  EXPECT_TRUE(links.empty(0));
+  EXPECT_EQ(links.head(0), nullptr);
+
+  links.push(0, Message::token(Label(1)));
+  links.push(0, Message::token(Label(2)));
+  links.push(1, Message::finish());
+  EXPECT_EQ(links.size(0), 2u);
+  EXPECT_EQ(links.size(1), 1u);
+  EXPECT_TRUE(links.empty(2));
+
+  // head() exposes the head without consuming it; repeated calls agree.
+  const Message* head = links.head(0);
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(*head, Message::token(Label(1)));
+  const Message* again = links.head(0);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(*again, Message::token(Label(1)));
+  EXPECT_EQ(links.size(0), 2u);
+
+  // pop() removes in push order.
+  EXPECT_EQ(links.pop(0), Message::token(Label(1)));
+  EXPECT_EQ(links.pop(0), Message::token(Label(2)));
+  EXPECT_TRUE(links.empty(0));
+  EXPECT_EQ(links.head(0), nullptr);
+  EXPECT_EQ(links.high_water(0), 2u);
+
+  // Link 1 was untouched by link 0's traffic.
+  ASSERT_NE(links.head(1), nullptr);
+  EXPECT_EQ(links.pop(1), Message::finish());
+  EXPECT_TRUE(links.empty(1));
 }
 
 }  // namespace
