@@ -38,14 +38,11 @@ int main(int argc, char** argv) {
       if (!ring) continue;
       const auto expected = ring->true_leader();
       const auto factory = election::make_factory({algo, k, false});
-      runtime::InHostConfig inhost;
-      inhost.record_trace = false;
-
       bool leaders_ok = true;
       std::uint64_t threaded_msgs = 0;
       const auto t0 = Clock::now();
       for (int run = 0; run < kRuns; ++run) {
-        const auto result = runtime::run_inhost(*ring, factory, inhost);
+        const auto result = runtime::run_inhost(*ring, factory);
         leaders_ok = leaders_ok &&
                      result.outcome == sim::Outcome::kTerminated &&
                      result.leader_pid() ==

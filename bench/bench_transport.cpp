@@ -76,14 +76,12 @@ int main(int argc, char** argv) {
     }
 
     {  // inhost: SPSC byte links + wire frames; latency from telemetry.
-      runtime::InHostConfig config;
-      config.record_trace = false;  // pure throughput
       Cell cell;
       cell.transport = "inhost";
       telemetry::MetricsRegistry latency;
       const auto t0 = Clock::now();
       for (int run = 0; run < kRuns; ++run) {
-        const auto result = runtime::run_inhost(*ring, factory, config);
+        const auto result = runtime::run_inhost(*ring, factory);
         cell.msgs = result.messages_sent;
         cell.leaders_ok =
             cell.leaders_ok &&
@@ -110,7 +108,6 @@ int main(int argc, char** argv) {
       // is asserted at n=1000 by RecorderOverheadTest; these rows track
       // the same ratio at bench scale.
       runtime::InHostConfig config;
-      config.record_trace = false;
       config.flight_recorder = true;
       Cell cell;
       cell.transport = "inhost+flight";

@@ -36,15 +36,13 @@ int main(int argc, char** argv) {
   std::cout << "true leader: p" << expected << " (label "
             << words::to_string(ring->label(expected)) << ")\n\n";
 
-  runtime::InHostConfig config;
-  config.record_trace = false;
   for (const auto algo :
        {election::AlgorithmId::kAk, election::AlgorithmId::kBk}) {
     std::cout << election::algorithm_name(algo) << " on " << n
               << " OS threads:\n";
     for (int run = 0; run < runs; ++run) {
       const auto result = runtime::run_inhost(
-          *ring, election::make_factory({algo, k, false}), config);
+          *ring, election::make_factory({algo, k, false}));
       const auto leader = result.leader_pid();
       std::cout << "  run " << run << ": "
                 << sim::outcome_name(result.outcome) << ", leader p"

@@ -8,13 +8,6 @@
 
 namespace hring::core {
 
-namespace {
-
-/// Campaigns run the step engine's fair activation unchanged.
-constexpr std::size_t kFairnessBound = sim::StepConfig{}.fairness_bound;
-
-}  // namespace
-
 template <class Proc>
 void BatchRunner<Proc>::configure(const BatchConfig& config,
                                   const Proc& prototype) {
@@ -116,7 +109,7 @@ bool BatchRunner<Proc>::step_slot(std::size_t s) {
 
   chosen_buf_.clear();
   for (const sim::ProcessId pid : enabled_buf_) {
-    if (age_[base + pid] >= kFairnessBound) chosen_buf_.push_back(pid);
+    if (age_[base + pid] >= sim::kFairnessBound) chosen_buf_.push_back(pid);
   }
   const bool forced = !chosen_buf_.empty();
   slot.scheduler.select(enabled_buf_, chosen_buf_);

@@ -16,6 +16,7 @@
 #include "ring/generator.hpp"
 #include "support/assert.hpp"
 #include "telemetry/telemetry_observer.hpp"
+#include "words/lyndon.hpp"
 
 namespace hring::core {
 
@@ -175,11 +176,17 @@ struct WorkerState {
   }
 };
 
-/// True-leader checking, with the uniform source (possibly symmetric — no
-/// true leader to speak of) opted out.
+/// True-leader checking, with the sources whose rings may be symmetric —
+/// no true leader to speak of — opted out: the uniform source, and a
+/// fixed ring with rotational symmetry.
 bool effective_check_true_leader(const SweepConfig& config) {
-  return config.check_true_leader &&
-         config.source.kind != RingSource::Kind::kUniformRandom;
+  const RingSource& source = config.source;
+  if (!config.check_true_leader ||
+      source.kind == RingSource::Kind::kUniformRandom) {
+    return false;
+  }
+  return source.kind != RingSource::Kind::kFixed ||
+         !words::has_rotational_symmetry(source.ring->labels());
 }
 
 void run_scalar_cell(const SweepConfig& config, bool check_true,

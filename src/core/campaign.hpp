@@ -123,7 +123,7 @@ struct SweepConfig {
   bool verify = true;
   /// Additionally require the elected process to be ring.true_leader().
   /// Only meaningful for sources whose rings are asymmetric; ignored for
-  /// kUniformRandom.
+  /// kUniformRandom and for a kFixed ring with rotational symmetry.
   bool check_true_leader = false;
   /// Scalar backend only: attach a TelemetryObserver per cell and merge
   /// the per-run registries into CampaignResult::metrics (the CLI's

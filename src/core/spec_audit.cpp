@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "core/experiment.hpp"
 #include "sim/invariants.hpp"
 #include "sim/message.hpp"
 #include "support/assert.hpp"
@@ -18,6 +19,11 @@ using sim::Message;
 using sim::MsgKind;
 using sim::Process;
 using sim::ProcessId;
+
+/// [send-burst] bound on messages per firing.
+constexpr std::size_t kMaxSendsPerFiring = 4;
+/// Step budget per audited run.
+constexpr std::uint64_t kStepBudget = 1'000'000;
 
 /// FNV-1a over a process's observable state: the encode() words (spec
 /// variables plus whatever the implementation appends) and the
@@ -64,11 +70,10 @@ bool same_message(const Message& a, const Message& b) {
 /// check off and keeps just the transition log (the replay run).
 class AuditObserver final : public sim::Observer {
  public:
-  AuditObserver(const SpecAuditConfig& config, std::size_t label_bits,
+  AuditObserver(std::size_t label_bits,
                 std::optional<std::size_t> space_bound_bits,
                 bool record_only)
-      : config_(config),
-        label_bits_(label_bits),
+      : label_bits_(label_bits),
         space_bound_bits_(space_bound_bits),
         record_only_(record_only) {}
 
@@ -90,47 +95,43 @@ class AuditObserver final : public sim::Observer {
     const std::size_t n = view.process_count();
     const std::string who = "p" + std::to_string(event.pid);
 
-    if (config_.check_fifo) audit_fifo(event, n, who);
+    audit_fifo(event, n, who);
 
-    if (config_.check_message_width) {
-      for (const Message& msg : event.sent) {
-        peak_message_bits_ =
-            std::max(peak_message_bits_, message_bits(msg, label_bits_));
-        if (msg.kind != MsgKind::kFinish && label_bits_ < 64 &&
-            (msg.label.value() >> label_bits_) != 0) {
-          report("[message-width] " + who + " sent " + to_string(msg) +
-                 " whose payload does not fit the ring's b=" +
-                 std::to_string(label_bits_) + " label bits");
-        }
+    for (const Message& msg : event.sent) {
+      peak_message_bits_ =
+          std::max(peak_message_bits_, message_bits(msg, label_bits_));
+      if (msg.kind != MsgKind::kFinish && label_bits_ < 64 &&
+          (msg.label.value() >> label_bits_) != 0) {
+        report("[message-width] " + who + " sent " + to_string(msg) +
+               " whose payload does not fit the ring's b=" +
+               std::to_string(label_bits_) + " label bits");
       }
     }
 
-    if (event.sent.size() > config_.max_sends_per_firing) {
+    if (event.sent.size() > kMaxSendsPerFiring) {
       report("[send-burst] " + who + " sent " +
              std::to_string(event.sent.size()) +
              " messages in one firing (bound " +
-             std::to_string(config_.max_sends_per_firing) + ")");
+             std::to_string(kMaxSendsPerFiring) + ")");
     }
 
-    if (config_.check_locality) {
-      for (ProcessId q = 0; q < n; ++q) {
-        if (q == event.pid) continue;
-        const std::uint64_t h = state_hash(view.process(q));
-        if (h != hashes_[q]) {
-          report("[locality] firing of " + who + " (step " +
-                 std::to_string(event.step) + ") mutated p" +
-                 std::to_string(q) + "'s state");
-          hashes_[q] = h;  // report each remote mutation once
-        }
+    for (ProcessId q = 0; q < n; ++q) {
+      if (q == event.pid) continue;
+      const std::uint64_t h = state_hash(view.process(q));
+      if (h != hashes_[q]) {
+        report("[locality] firing of " + who + " (step " +
+               std::to_string(event.step) + ") mutated p" +
+               std::to_string(q) + "'s state");
+        hashes_[q] = h;  // report each remote mutation once
       }
-      hashes_[event.pid] = state_hash(view.process(event.pid));
     }
+    hashes_[event.pid] = state_hash(view.process(event.pid));
 
     const std::size_t space =
         view.process(event.pid).space_bits(label_bits_);
     peak_space_bits_ = std::max(peak_space_bits_, space);
-    if (config_.check_space_bound && space_bound_bits_.has_value() &&
-        space > *space_bound_bits_ && !space_reported_) {
+    if (space_bound_bits_.has_value() && space > *space_bound_bits_ &&
+        !space_reported_) {
       space_reported_ = true;
       report("[space] " + who + " reached " + std::to_string(space) +
              " bits, above the paper's bound of " +
@@ -139,7 +140,7 @@ class AuditObserver final : public sim::Observer {
   }
 
   void on_finish(const ExecutionView& view) override {
-    if (record_only_ || !config_.check_fifo) return;
+    if (record_only_) return;
     // Messages left in a shadow queue at the end of a *clean* run would
     // mean the engine delivered something the sender never sent; cross-
     // check against the real links instead of assuming.
@@ -197,7 +198,6 @@ class AuditObserver final : public sim::Observer {
 
   static constexpr std::size_t kMaxViolations = 64;
 
-  const SpecAuditConfig& config_;
   std::size_t label_bits_;
   std::optional<std::size_t> space_bound_bits_;
   bool record_only_;
@@ -217,13 +217,9 @@ sim::RunResult run_once(sim::StepEngine& engine, const ring::LabeledRing& ring,
                         const sim::ProcessFactory& factory,
                         const SpecAuditConfig& config,
                         AuditObserver& auditor, sim::SpecMonitor* monitor) {
-  auto scheduler = config.scheduler_factory
-                       ? config.scheduler_factory()
-                       : make_scheduler(config.scheduler, config.seed);
-  HRING_ASSERT(scheduler != nullptr);
+  const auto scheduler = make_scheduler(config.scheduler, config.seed);
   sim::StepConfig step_config;
-  step_config.max_steps = config.max_steps;
-  step_config.fairness_bound = config.fairness_bound;
+  step_config.max_steps = kStepBudget;
   engine.prepare(ring, factory, *scheduler, step_config);
   engine.add_observer(&auditor);
   if (monitor != nullptr) engine.add_observer(monitor);
@@ -254,14 +250,9 @@ std::optional<std::size_t> paper_space_bound_bits(
     std::size_t b) {
   switch (algorithm.id) {
     case election::AlgorithmId::kAk:
-      // Theorem 2: (2k+1)·n·b + 2b + 3.
-      return (2 * algorithm.k + 1) * n * b + 2 * b + 3;
-    case election::AlgorithmId::kBk: {
-      // Theorem 4: 2⌈log k⌉ + 3b + 5.
-      std::size_t log_k = 0;
-      while ((std::size_t{1} << log_k) < algorithm.k) ++log_k;
-      return 2 * log_k + 3 * b + 5;
-    }
+      return ak_space_bound(n, algorithm.k, b);
+    case election::AlgorithmId::kBk:
+      return bk_space_bound(algorithm.k, b);
     case election::AlgorithmId::kChangRoberts:
     case election::AlgorithmId::kLeLann:
     case election::AlgorithmId::kPeterson:
@@ -281,7 +272,7 @@ SpecAuditReport audit_factory(const ring::LabeledRing& ring,
   // recycles the primary's links, counters and firing buffers, and doubles
   // as a test that recycled executions behave identically to fresh ones.
   sim::StepEngine engine;
-  AuditObserver auditor(config, b, space_bound_bits, /*record_only=*/false);
+  AuditObserver auditor(b, space_bound_bits, /*record_only=*/false);
   sim::SpecMonitor monitor;
   const sim::RunResult result =
       run_once(engine, ring, factory, config, auditor, &monitor);
@@ -298,35 +289,32 @@ SpecAuditReport audit_factory(const ring::LabeledRing& ring,
   for (const std::string& v : monitor.violations()) {
     report.violations.push_back("[spec] " + v);
   }
-  if (config.require_termination &&
-      result.outcome != sim::Outcome::kTerminated) {
+  if (result.outcome != sim::Outcome::kTerminated) {
     report.violations.push_back(
         "[termination] run ended with outcome=" +
         std::string(sim::outcome_name(result.outcome)) +
         " instead of a clean terminal configuration");
   }
 
-  if (config.check_replay) {
-    AuditObserver replay(config, b, space_bound_bits, /*record_only=*/true);
-    (void)run_once(engine, ring, factory, config, replay, nullptr);
-    report.replay_ran = true;
-    const auto& first = auditor.log();
-    const auto& second = replay.log();
-    const std::size_t common = std::min(first.size(), second.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      if (first[i] != second[i]) {
-        report.violations.push_back(
-            "[replay] firing " + std::to_string(i) + " diverged: \"" +
-            first[i] + "\" vs \"" + second[i] + "\"");
-        break;
-      }
-    }
-    if (first.size() != second.size()) {
+  AuditObserver replay(b, space_bound_bits, /*record_only=*/true);
+  (void)run_once(engine, ring, factory, config, replay, nullptr);
+  report.replay_ran = true;
+  const auto& first = auditor.log();
+  const auto& second = replay.log();
+  const std::size_t common = std::min(first.size(), second.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    if (first[i] != second[i]) {
       report.violations.push_back(
-          "[replay] transition logs have different lengths (" +
-          std::to_string(first.size()) + " vs " +
-          std::to_string(second.size()) + " firings)");
+          "[replay] firing " + std::to_string(i) + " diverged: \"" +
+          first[i] + "\" vs \"" + second[i] + "\"");
+      break;
     }
+  }
+  if (first.size() != second.size()) {
+    report.violations.push_back(
+        "[replay] transition logs have different lengths (" +
+        std::to_string(first.size()) + " vs " +
+        std::to_string(second.size()) + " firings)");
   }
   return report;
 }

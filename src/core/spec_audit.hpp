@@ -17,9 +17,9 @@
 //   [message-width] every sent payload fits in the ring's b label bits —
 //                   the model's messages carry labels of the ring, not
 //                   arbitrary integers;
-//   [send-burst]    a single firing sends at most a small constant number
-//                   of messages (§II statements are straight-line; every
-//                   algorithm of the paper sends <= 2 per firing);
+//   [send-burst]    a single firing sends at most 4 messages (§II
+//                   statements are straight-line; every algorithm of the
+//                   paper sends <= 2 per firing);
 //   [fifo]          the receive sequence on every link is exactly the send
 //                   sequence of its producer, reconstructed independently
 //                   of the engine's own queues;
@@ -27,7 +27,8 @@
 //                   (2k+1)·n·b + 2b + 3 for A_k (Theorem 2),
 //                   2⌈log k⌉ + 3b + 5 for B_k (Theorem 4);
 //   [spec]          the §II election specification (SpecMonitor);
-//   [termination]   the run reaches a clean terminal configuration.
+//   [termination]   the run reaches a clean terminal configuration within
+//                   1,000,000 steps.
 //
 // A report with ok() == false names every violated obligation; mock
 // algorithms that break locality or message bounds are rejected (see
@@ -35,8 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,35 +48,12 @@
 
 namespace hring::core {
 
+/// Every check runs on every audit; the config picks the schedule.
 struct SpecAuditConfig {
   /// Daemon driving the audited runs. Any kind works: the randomized ones
   /// are seeded, so the replay check still sees identical schedules.
   SchedulerKind scheduler = SchedulerKind::kRandomSubset;
   std::uint64_t seed = 1;
-  /// When set, overrides `scheduler`/`seed`: every audited run gets a
-  /// fresh scheduler from this factory. The conformance harness passes
-  /// ReplayScheduler factories here, so the auditor's checks run over a
-  /// schedule linearized from a real concurrent execution. The factory
-  /// must produce identically-behaving schedulers on every call (the
-  /// replay check runs twice).
-  std::function<std::unique_ptr<sim::Scheduler>()> scheduler_factory;
-  /// Step budget per audited run.
-  std::uint64_t max_steps = 1'000'000;
-  /// Step-engine fairness bound. Replay audits must set this above the
-  /// schedule length: force-including an aged process would diverge from
-  /// the recorded schedule (the recorded run already was fair).
-  std::size_t fairness_bound = 128;
-  /// [send-burst] bound on messages per firing.
-  std::size_t max_sends_per_firing = 4;
-  /// Individual checks; all on by default.
-  bool check_replay = true;
-  bool check_locality = true;
-  bool check_message_width = true;
-  bool check_fifo = true;
-  bool check_space_bound = true;
-  /// Require Outcome::kTerminated (off when auditing deliberately
-  /// non-terminating fixtures).
-  bool require_termination = true;
 };
 
 struct SpecAuditReport {
@@ -102,8 +78,9 @@ struct SpecAuditReport {
 };
 
 /// Space bound the paper promises for `algorithm` on an n-process ring
-/// with b-bit labels: Theorem 2 for A_k, Theorem 4 for B_k. nullopt for
-/// the baselines (the paper states no bound for them).
+/// with b-bit labels: Theorem 2 for A_k (core::ak_space_bound), Theorem 4
+/// for B_k (core::bk_space_bound). nullopt for the baselines (the paper
+/// states no bound for them).
 [[nodiscard]] std::optional<std::size_t> paper_space_bound_bits(
     const election::AlgorithmConfig& algorithm, std::size_t n,
     std::size_t b);

@@ -124,10 +124,6 @@ std::string AkProcess::debug_state() const {
   return out;
 }
 
-std::unique_ptr<Process> AkProcess::clone() const {
-  return std::unique_ptr<Process>(new AkProcess(*this));
-}
-
 void AkProcess::encode(std::vector<std::uint64_t>& out) const {
   Process::encode(out);
   out.push_back(init_ ? 1 : 0);

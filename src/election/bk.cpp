@@ -173,10 +173,6 @@ std::string BkProcess::debug_state() const {
   return out;
 }
 
-std::unique_ptr<Process> BkProcess::clone() const {
-  return std::unique_ptr<Process>(new BkProcess(*this));
-}
-
 void BkProcess::encode(std::vector<std::uint64_t>& out) const {
   Process::encode(out);
   out.push_back(static_cast<std::uint64_t>(state_));

@@ -68,10 +68,6 @@ std::string ChangRobertsProcess::debug_state() const {
   return out;
 }
 
-std::unique_ptr<Process> ChangRobertsProcess::clone() const {
-  return std::unique_ptr<Process>(new ChangRobertsProcess(*this));
-}
-
 void ChangRobertsProcess::encode(std::vector<std::uint64_t>& out) const {
   Process::encode(out);
   out.push_back(init_ ? 1 : 0);

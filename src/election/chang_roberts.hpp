@@ -45,7 +45,6 @@ class ChangRobertsProcess final : public Process {
   }
 
   [[nodiscard]] std::string debug_state() const override;
-  [[nodiscard]] std::unique_ptr<Process> clone() const override;
   void encode(std::vector<std::uint64_t>& out) const override;
   [[nodiscard]] bool decode(const std::uint64_t*& it,
                             const std::uint64_t* end) override;

@@ -70,10 +70,6 @@ std::string LeLannProcess::debug_state() const {
   return out;
 }
 
-std::unique_ptr<Process> LeLannProcess::clone() const {
-  return std::unique_ptr<Process>(new LeLannProcess(*this));
-}
-
 void LeLannProcess::encode(std::vector<std::uint64_t>& out) const {
   Process::encode(out);
   out.push_back(init_ ? 1 : 0);

@@ -111,10 +111,6 @@ std::string PetersonProcess::debug_state() const {
   return out;
 }
 
-std::unique_ptr<Process> PetersonProcess::clone() const {
-  return std::unique_ptr<Process>(new PetersonProcess(*this));
-}
-
 void PetersonProcess::encode(std::vector<std::uint64_t>& out) const {
   Process::encode(out);
   out.push_back((static_cast<std::uint64_t>(expecting_second_) << 0) |

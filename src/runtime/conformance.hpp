@@ -5,23 +5,25 @@
 // that an executable obligation, in three stages:
 //
 //   1. Reference: run the election in the step engine (synchronous
-//      daemon) and record the leader the theory predicts (the ring's
-//      true leader for the paper's algorithms).
-//   2. Real run: execute the same RingSpec cell on the in-host runtime —
-//      real threads, byte frames, OS scheduling.
-//   3. Replay + audit: sort the runtime's firing records by their global
-//      stamps (a valid sequential schedule — every consumed message was
-//      sent by an earlier-stamped firing; see inhost_ring.hpp) and
-//      re-execute it in the step engine as singleton steps through
-//      ReplayScheduler, with the full spec auditor attached. The audit's
-//      obligations (locality, FIFO, message width, Theorem 2/4 space,
-//      the §II spec, termination) are thereby checked over the *observed
-//      concurrent execution*, and the replayed run's leader, action and
-//      message counts must match the runtime's own counters exactly.
+//      daemon), record it with a sim::TraceRecorder and project the
+//      recording onto the links (sim::link_histories).
+//   2. Real run: execute the same cell on the in-host runtime — real
+//      threads, byte frames, OS scheduling — recording every link's
+//      received messages.
+//   3. Compare: every link must carry the reference's message sequence,
+//      every process must end in the reference's state, and the firing
+//      count and peak space must equal the reference's. The full spec
+//      auditor (locality, FIFO, message width, Theorem 2/4 space, the
+//      §II spec, termination) checks the reference schedule.
 //
-// A conformance pass therefore certifies: the concurrent execution is a
-// linearizable §II execution, its statistics agree with the simulator's
-// accounting, and its space stayed within the paper's bounds.
+// Comparing histories suffices because the ring is a Kahn network: every
+// guard but the init action waits on the in-link head and only the
+// owner's firing pops it, so each process receives the same messages in
+// the same order under every fair schedule. Equal link histories mean
+// equal per-process transition sequences, so the audited reference
+// transitions are the real run's, in another order consistent with the
+// same causality. A mismatch names each link's first divergent message:
+// "[link] p3->p4 message 17: expected <TOKEN,5>, observed <TOKEN,7>".
 #pragma once
 
 #include <cstdint>
@@ -52,11 +54,11 @@ struct ConformanceConfig {
 };
 
 struct ConformanceReport {
-  /// Divergences, each prefixed with its stage ("[replay] ...").
+  /// Divergences, each prefixed with its kind ("[link] ...").
   std::vector<std::string> divergences;
   /// Stage 2's result (the real run).
   InHostResult inhost;
-  /// Stage 3's audit over the replayed schedule.
+  /// The spec audit of the reference schedule.
   core::SpecAuditReport audit;
   /// Leader elected by the reference simulator run.
   std::optional<sim::ProcessId> simulator_leader;

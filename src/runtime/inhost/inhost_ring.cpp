@@ -40,7 +40,6 @@ struct Shared {
   /// Detached unless config.flight_recorder; each worker writes only its
   /// own ring (telemetry/flight_recorder.hpp's single-writer discipline).
   telemetry::FlightRecorder flight;
-  alignas(64) std::atomic<std::uint64_t> seq{0};  // global firing stamps
   alignas(64) std::atomic<std::uint64_t> actions{0};
   std::atomic<std::uint64_t> sent{0};
   std::atomic<std::uint64_t> received{0};
@@ -64,24 +63,27 @@ struct Shared {
 /// Per-worker private state, merged by the main thread after join.
 struct WorkerLocal {
   telemetry::MetricsRegistry metrics;
-  std::vector<FiringRecord> trace;
+  /// The in-link's received history (filled only under record_trace).
+  std::vector<Message> received;
   std::size_t peak_space_bits = 0;
   std::uint64_t fired = 0;
 };
 
 /// Context for one firing on an in-host worker: consume pops the peeked
-/// wire frame (recording its latency), send encodes onto the out-queue
-/// with shutdown-cancelable backpressure.
+/// wire frame (recording its latency, and logging it when `history` is
+/// set), send encodes onto the out-queue with shutdown-cancelable
+/// backpressure.
 class InHostContext final : public sim::Context {
  public:
   InHostContext(Shared& shared, WorkerLocal& local,
                 telemetry::HistogramId latency_hist, ProcessId pid,
-                FlightRing* flight)
+                FlightRing* flight, std::vector<Message>* history)
       : shared_(shared),
         local_(local),
         latency_hist_(latency_hist),
         pid_(pid),
-        flight_(flight) {}
+        flight_(flight),
+        history_(history) {}
 
   Message consume() override {
     HRING_EXPECTS(!consumed_);
@@ -95,6 +97,7 @@ class InHostContext final : public sim::Context {
         latency_hist_,
         static_cast<double>(now >= send_ts_ns ? now - send_ts_ns : 0));
     shared_.received.fetch_add(1, std::memory_order_relaxed);
+    if (history_ != nullptr) history_->push_back(msg);
     return msg;
   }
 
@@ -119,6 +122,7 @@ class InHostContext final : public sim::Context {
   telemetry::HistogramId latency_hist_;
   ProcessId pid_;
   FlightRing* flight_;
+  std::vector<Message>* history_;
   bool consumed_ = false;
 };
 
@@ -126,6 +130,8 @@ void worker_loop(Shared& shared, WorkerLocal& local, ProcessId pid,
                  const InHostConfig& config, std::size_t label_bits) {
   FlightRing* flight =
       shared.flight.attached() ? &shared.flight.ring(pid) : nullptr;
+  std::vector<Message>* history =
+      config.record_trace ? &local.received : nullptr;
   // Bootstrap: announce, then hold until the control plane starts the
   // election (or aborts the run).
   rec(flight, FlightEventKind::kJoin, pid);
@@ -171,15 +177,10 @@ void worker_loop(Shared& shared, WorkerLocal& local, ProcessId pid,
       }
     }
     if (proc.enabled(head)) {
-      // Stamp before consuming/sending — the linearization invariant
-      // (see inhost_ring.hpp's header comment).
-      const std::uint64_t seq =
-          shared.seq.fetch_add(1, std::memory_order_relaxed);
-      rec(flight, FlightEventKind::kFire, seq);
-      InHostContext ctx(shared, local, latency_hist, pid, flight);
+      rec(flight, FlightEventKind::kFire, local.fired);
+      InHostContext ctx(shared, local, latency_hist, pid, flight, history);
       proc.fire(head, ctx);
       shared.actions.fetch_add(1, std::memory_order_relaxed);
-      if (config.record_trace) local.trace.push_back({seq, pid});
       local.peak_space_bits =
           std::max(local.peak_space_bits, proc.space_bits(label_bits));
       backoff.reset();
@@ -416,22 +417,18 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
   }
   result.forensics = std::move(forensics);
 
-  // Fold the per-worker views: metrics merge by name, space maxes,
-  // traces concatenate and sort by the global stamps.
-  std::size_t trace_len = 0;
-  for (const WorkerLocal& local : locals) trace_len += local.trace.size();
-  result.trace.reserve(trace_len);
-  for (const WorkerLocal& local : locals) {
+  // Fold the per-worker views: metrics merge by name, space maxes, and
+  // each worker's received log becomes its in-link's history.
+  if (config.record_trace) result.link_histories.resize(n);
+  for (ProcessId pid = 0; pid < n; ++pid) {
+    WorkerLocal& local = locals[pid];
     result.metrics.merge(local.metrics);
     result.peak_space_bits =
         std::max(result.peak_space_bits, local.peak_space_bits);
-    result.trace.insert(result.trace.end(), local.trace.begin(),
-                        local.trace.end());
+    if (config.record_trace) {
+      result.link_histories[shared.in_port(pid)] = std::move(local.received);
+    }
   }
-  std::sort(result.trace.begin(), result.trace.end(),
-            [](const FiringRecord& a, const FiringRecord& b) {
-              return a.seq < b.seq;
-            });
   const auto wire_rejects_id = result.metrics.counter("inhost_wire_rejects");
   result.metrics.add(wire_rejects_id, result.wire_rejects);
   const auto abandoned_id =

@@ -9,14 +9,12 @@
 // workers emit liveness beats, and a watchdog declares deadlock after a
 // quiet period with no firing, as the engines report a stalled run.
 //
-// Every firing is stamped from one global sequence counter *before* it
-// consumes or sends. If firing B consumes a message sent by firing A,
-// A's stamp happens-before B's (A's stamp is sequenced before its
-// release-publication of the frame; B's acquire-read of the frame is
-// sequenced before B's stamp; RMW coherence then orders the stamps), so
-// sorting the firing records by stamp yields a sequential schedule every
-// consumed message precedes — the linearization the conformance harness
-// (runtime/conformance.hpp) replays through the step engine and audits.
+// With record_trace on, each worker logs every message it consumes — the
+// received history of its in-link. Every guard but the init action waits
+// on the in-link head and only the owner pops it, so under §II's FIFO
+// links these histories are the same under every fair schedule; the
+// conformance harness (runtime/conformance.hpp) compares them with a
+// simulator run's.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +44,10 @@ struct InHostConfig {
   /// 4n+16 frames). A full link backpressures the sender (adaptive
   /// spin/yield/sleep, canceled by shutdown).
   std::size_t queue_capacity_bytes = 0;
-  /// Record (seq, pid) firing records for conformance replay. Costs one
-  /// vector push per firing; disable for pure throughput runs.
-  bool record_trace = true;
+  /// Record each link's received messages into
+  /// InHostResult::link_histories (the conformance harness turns this
+  /// on). Costs one vector push per consumed message.
+  bool record_trace = false;
   /// Attach the per-thread flight recorder (telemetry/flight_recorder.hpp).
   /// Recording costs a few relaxed stores per loop event; on watchdog
   /// stall or run completion the rings are merged into
@@ -67,12 +66,6 @@ struct InHostConfig {
   /// on the poll without beating). Election code never sets this.
   std::function<void(sim::ProcessId, const std::function<bool()>&)>
       post_start_hook;
-};
-
-/// One firing, stamped by the global sequence counter at firing start.
-struct FiringRecord {
-  std::uint64_t seq = 0;
-  sim::ProcessId pid = 0;
 };
 
 struct InHostResult {
@@ -94,8 +87,9 @@ struct InHostResult {
   /// Merged per-worker telemetry: inhost_message_latency_ns histogram,
   /// reject/abandon counters.
   telemetry::MetricsRegistry metrics;
-  /// Firing records sorted by seq (empty unless config.record_trace).
-  std::vector<FiringRecord> trace;
+  /// link_histories[i]: the messages p_{i+1} consumed from link
+  /// p_i -> p_{i+1}, in order (empty unless config.record_trace).
+  std::vector<std::vector<sim::Message>> link_histories;
   /// Present iff config.flight_recorder: the merged per-thread flight
   /// rings plus the watchdog's verdict. Collected at stall-detection time
   /// (before workers are woken for shutdown, so the park picture is the

@@ -175,7 +175,7 @@ bool StepEngine::step_once() {
   chosen_buf_.clear();
   // Fair activation: force any process continuously enabled for the bound.
   for (const ProcessId pid : enabled_buf_) {
-    if (age_[pid] >= config_.fairness_bound) chosen_buf_.push_back(pid);
+    if (age_[pid] >= kFairnessBound) chosen_buf_.push_back(pid);
   }
   scheduler_->select(enabled_buf_, chosen_buf_);
   std::sort(chosen_buf_.begin(), chosen_buf_.end());

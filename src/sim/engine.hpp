@@ -260,13 +260,15 @@ bool ExecutionCore::fire_process(ProcessId pid, const Message* head,
   return ctx.consumed();
 }
 
+/// A process continuously enabled for this many steps is force-included
+/// in the next step (the model's fair activation). The batch engine
+/// (core/batch_engine.hpp) ages its slots by the same bound.
+inline constexpr std::size_t kFairnessBound = 128;
+
 /// Step-engine tuning knobs.
 struct StepConfig {
   /// Budget on configuration steps before giving up (livelock guard).
   std::uint64_t max_steps = 10'000'000;
-  /// A process continuously enabled for this many steps is force-included
-  /// in the next step (the model's fair activation).
-  std::size_t fairness_bound = 128;
 };
 
 class StepEngine final : public ExecutionCore {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -69,18 +68,11 @@ class Process {
   /// One-line state rendering for traces ("COMPUTE g=3 in=1 out=2").
   [[nodiscard]] virtual std::string debug_state() const = 0;
 
-  /// Deep copy, for the exhaustive model checker's backtracking search
-  /// (core/model_checker.hpp). Algorithms that do not support checking
-  /// return nullptr (the default).
-  [[nodiscard]] virtual std::unique_ptr<Process> clone() const {
-    return nullptr;
-  }
-
   /// Serializes the complete local state (spec variables included) into
   /// `out`, for configuration hashing/equality in the model checker. Two
   /// processes with equal encodings must behave identically. The default
-  /// encodes only the spec variables — enough for the base class; clone()
-  /// implementers must append their own fields.
+  /// encodes only the spec variables — enough for the base class;
+  /// subclasses with state of their own must append their fields.
   virtual void encode(std::vector<std::uint64_t>& out) const {
     out.push_back((static_cast<std::uint64_t>(is_leader_) << 0) |
                   (static_cast<std::uint64_t>(done_) << 1) |
@@ -114,7 +106,8 @@ class Process {
   [[nodiscard]] virtual bool halted() const { return halted_; }
 
  protected:
-  /// Copying is reserved for clone() implementations.
+  /// Copying is reserved for subclasses: BatchRunner's arena
+  /// (core/batch_engine.hpp) copies its prototype process.
   Process(const Process&) = default;
 
   /// Restores the spec variables written by the base encode(); decode()

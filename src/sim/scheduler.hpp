@@ -3,7 +3,7 @@
 // A step γ ↦ γ' executes a non-empty subset of the processes enabled in γ
 // (§II). The scheduler chooses that subset; the engine separately enforces
 // the model's fairness assumption by force-including any process that has
-// been continuously enabled for `fairness_bound` steps.
+// been continuously enabled for `kFairnessBound` steps.
 #pragma once
 
 #include <cstdint>

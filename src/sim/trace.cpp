@@ -4,6 +4,8 @@
 #include <map>
 #include <ostream>
 
+#include "support/assert.hpp"
+
 namespace hring::sim {
 
 void TraceRecorder::on_action(const ExecutionView& view,
@@ -34,6 +36,18 @@ TraceRecorder::action_census() const {
   std::map<std::string, std::uint64_t> census;
   for (const Entry& e : entries_) ++census[std::string(e.event.action)];
   return {census.begin(), census.end()};
+}
+
+std::vector<std::vector<Message>> link_histories(const TraceRecorder& trace,
+                                                 std::size_t n) {
+  std::vector<std::vector<Message>> histories(n);
+  for (const TraceRecorder::Entry& e : trace.entries()) {
+    HRING_EXPECTS(e.event.pid < n);
+    if (e.event.consumed.has_value()) {
+      histories[(e.event.pid + n - 1) % n].push_back(*e.event.consumed);
+    }
+  }
+  return histories;
 }
 
 }  // namespace hring::sim

@@ -1,8 +1,9 @@
 // Trace recording.
 //
 // Records every fired action (with its consumed message) and optional
-// per-step state snapshots; used by the CLI, by the Figure 1 reproduction
-// and by the state-diagram conformance tests (E5/E6).
+// per-step state snapshots; used by the CLI, by the Figure 1 reproduction,
+// by the state-diagram conformance tests (E5/E6) and, projected onto the
+// links, as the reference of the in-host conformance check.
 #pragma once
 
 #include <cstdint>
@@ -44,5 +45,11 @@ class TraceRecorder : public Observer {
   std::vector<Entry> entries_;
   std::uint64_t dropped_ = 0;
 };
+
+/// The recorded run's per-link received histories: [i] lists, in order,
+/// the messages p_{i+1} consumed from link p_i -> p_{i+1} on an n-process
+/// ring. Complete only when trace.dropped() == 0.
+[[nodiscard]] std::vector<std::vector<Message>> link_histories(
+    const TraceRecorder& trace, std::size_t n);
 
 }  // namespace hring::sim

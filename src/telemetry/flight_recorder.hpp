@@ -39,7 +39,7 @@ namespace hring::telemetry {
 enum class FlightEventKind : std::uint8_t {
   kJoin,             ///< membership join announced; arg = pid
   kStart,            ///< start_election observed; arg = 0
-  kFire,             ///< one firing begins; arg = global firing seq
+  kFire,             ///< one firing begins; arg = the worker's firing index
   kSend,             ///< frame enqueued; arg = the frame's send_ts_ns
   kRecv,             ///< frame consumed; arg = the frame's send_ts_ns
   kWireReject,       ///< decoder refused a frame; arg = running reject count

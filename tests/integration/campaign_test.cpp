@@ -217,6 +217,26 @@ TEST(CampaignTest, BackendResolution) {
   EXPECT_THROW((void)core::run_campaign(event), std::invalid_argument);
 }
 
+TEST(CampaignTest, SymmetricFixedRingFailsVerificationWithoutAbort) {
+  // 1.2.1.2 has rotational symmetry, so it has no true leader: the
+  // true-leader check opts out, as for the uniform source, and A_2's two
+  // leaders are counted as verification failures on both backends.
+  for (const auto backend :
+       {CampaignBackend::kBatch, CampaignBackend::kScalar}) {
+    SweepConfig config;
+    config.election.algorithm = {AlgorithmId::kAk, 2, false};
+    config.source =
+        core::RingSource::fixed(ring::LabeledRing::from_values({1, 2, 1, 2}));
+    config.cells = 4;
+    config.check_true_leader = true;
+    config.backend = backend;
+    const auto result = core::run_campaign(config);
+    EXPECT_EQ(result.backend, backend);
+    EXPECT_EQ(result.verify_failures, config.cells)
+        << core::campaign_backend_name(backend);
+  }
+}
+
 TEST(CampaignTest, ScalarFallbackRunsUncoveredAlgorithms) {
   // The batch engine covers every algorithm on the step engine; the event
   // engine is what it leaves to the scalar backend.

@@ -5,12 +5,8 @@
 // these tests pin the primitives they are built on.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
-#include "tools/hring_lint/cache.hpp"
 #include "tools/hring_lint/checks.hpp"
 #include "tools/hring_lint/concurrency_model.hpp"
 #include "tools/hring_lint/lexer.hpp"
@@ -350,96 +346,6 @@ TEST(ConcurrencyStmts, DominationRequiresEveryPath) {
   // Within the branch, the condition dominates its body.
   const std::size_t urgent = tok_index(f, "urgent");
   EXPECT_TRUE(dominated_by_range(tree, maybe, urgent, urgent + 1));
-}
-
-// ---------------------------------------------------------------------------
-// Diagnostics cache: key discipline and the cold/warm replay speedup.
-
-TEST(LintCache, KeyIsOrderIndependentAndContentSensitive) {
-  const std::vector<std::string> roster = {"pairing", "spsc-ownership"};
-  const std::vector<std::string> reversed = {"spsc-ownership", "pairing"};
-  using Hashes = std::vector<std::pair<std::string, std::uint64_t>>;
-  const Hashes files = {{"a.cpp", fnv1a("alpha")}, {"b.cpp", fnv1a("beta")}};
-  const Hashes shuffled = {{"b.cpp", fnv1a("beta")}, {"a.cpp", fnv1a("alpha")}};
-  EXPECT_EQ(cache_key_hex(roster, files), cache_key_hex(reversed, shuffled));
-  const Hashes edited = {{"a.cpp", fnv1a("alpha2")}, {"b.cpp", fnv1a("beta")}};
-  EXPECT_NE(cache_key_hex(roster, files), cache_key_hex(roster, edited));
-  EXPECT_NE(cache_key_hex(roster, files),
-            cache_key_hex({"pairing"}, files));
-}
-
-TEST(LintCache, RoundTripPreservesDiagnosticsAndRejectsCorruption) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "hring_lint_cache_rt")
-          .string();
-  std::filesystem::remove_all(dir);
-  std::vector<Diagnostic> in(1);
-  in[0].file = "weird\tname.cpp";
-  in[0].line = 7;
-  in[0].col = 3;
-  in[0].check = "pairing";
-  in[0].message = "line one\nline two\tand a tab";
-  const std::string key = cache_key_hex({"pairing"}, {{"x.cpp", 1}});
-  cache_store(dir, key, in);
-  std::vector<Diagnostic> out;
-  ASSERT_TRUE(cache_load(dir, key, out));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].file, in[0].file);
-  EXPECT_EQ(out[0].line, in[0].line);
-  EXPECT_EQ(out[0].message, in[0].message);
-  EXPECT_FALSE(cache_load(dir, cache_key_hex({"pairing"}, {{"y.cpp", 2}}),
-                          out));
-  // Truncate the entry: a corrupt cache must read as a miss, not garbage.
-  std::ofstream(std::filesystem::path(dir) / (key + ".diags"))
-      << "hring-lint-cache v1\n3\n";
-  EXPECT_FALSE(cache_load(dir, key, out));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(LintCache, WarmReplayBeatsColdAnalysis) {
-  // A warm hit replays stored diagnostics without lexing, parsing, or
-  // running any check; it must beat the cold pipeline on a tree big
-  // enough to measure (the whole point of --cache-dir in lint.src_clean).
-  std::string chunk =
-      "class Hot {\n"
-      " public:\n"
-      "  void tick() { hits_.fetch_add(1, std::memory_order_relaxed); }\n"
-      "  [[nodiscard]] std::uint64_t hits() const {\n"
-      "    return hits_.load(std::memory_order_relaxed);\n"
-      "  }\n"
-      " private:\n"
-      "  alignas(64) std::atomic<std::uint64_t> hits_{0};\n"
-      "};\n";
-  std::string content;
-  for (int i = 0; i < 300; ++i) content += chunk;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "hring_lint_cache_speed")
-          .string();
-  std::filesystem::remove_all(dir);
-  const std::vector<std::string> roster = all_check_names();
-  const std::string key =
-      cache_key_hex(roster, {{"big.cpp", fnv1a(content)}});
-
-  const auto cold_start = std::chrono::steady_clock::now();
-  SourceFile file;
-  file.path = "big.cpp";
-  file.content = content;
-  lex(file);
-  Model model;
-  parse_file(file, model);
-  std::vector<Diagnostic> diags;
-  run_checks(model, roster, diags);
-  cache_store(dir, key, diags);
-  const auto cold = std::chrono::steady_clock::now() - cold_start;
-
-  const auto warm_start = std::chrono::steady_clock::now();
-  std::vector<Diagnostic> replayed;
-  ASSERT_TRUE(cache_load(dir, key, replayed));
-  const auto warm = std::chrono::steady_clock::now() - warm_start;
-
-  EXPECT_EQ(replayed.size(), diags.size());
-  EXPECT_LT(warm, cold);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,13 +2,17 @@
 //
 // The acceptance matrix from the roadmap: {A_k k=1..3, Chang-Roberts,
 // B_k} × n ∈ {2..8}, each cell certified by the three-stage harness —
-// reference simulation, real threaded run, linearized replay through the
-// full spec auditor. A final (sanitizer-skipped) case scales one cell to
-// n = 1000 workers and checks the Theorem 2 space budget holds there too.
+// reference simulation, real threaded run, per-link message histories
+// and final states compared, reference schedule through the full spec
+// auditor. An injected frame must be named as the first divergent
+// message of its link. A final (sanitizer-skipped) case scales one cell
+// to n = 1000 workers and checks the Theorem 2 space budget holds there
+// too.
 #include "runtime/conformance.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "election/algorithm.hpp"
 #include "ring/generator.hpp"
 #include "ring/labeled_ring.hpp"
+#include "runtime/inhost/inhost_links.hpp"
 #include "support/rng.hpp"
 
 // Sanitizer builds slow each thread down enough that thousand-worker
@@ -82,8 +87,8 @@ INSTANTIATE_TEST_SUITE_P(
 // O(n log n) expected messages keep the strict spec audit (which hashes
 // every process state on every firing) tractable. The paper algorithms
 // at n = 1000 perform ~2.5M firings — their Theorem 2/4 budgets are
-// checked directly against the real run below instead, since a 2.5M-step
-// audited replay is hours of single-core work.
+// checked directly against the real run below instead, since auditing
+// 2.5M firings is hours of single-core work.
 
 TEST(ConformanceScaleTest, ThousandWorkerRingConformsEndToEnd) {
 #ifdef HRING_TEST_SANITIZED
@@ -147,6 +152,32 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(param_info.param.k) + "_n" +
              std::to_string(param_info.param.n);
     });
+
+TEST(ConformanceDivergenceTest, InjectedFrameIsNamedByLinkAndIndex) {
+  // One well-formed extra <TOKEN,1> queued on p0->p1 before the run: p1
+  // consumes it first, so its in-link history departs from the
+  // reference's at message 0.
+  const auto ring = ring::LabeledRing::from_values({5, 6, 7, 8});
+  ConformanceConfig config;
+  config.inhost.pre_start_poke = [](InHostLinks& links) {
+    links.send(0, sim::Message::token(sim::Label(1)));
+  };
+  const auto report = check_conformance(
+      ring, AlgorithmConfig{AlgorithmId::kChangRoberts, 1, false}, config);
+  EXPECT_FALSE(report.ok());
+  const std::string expected =
+      "[link] p0->p1 message 0: expected <TOKEN,5>, observed <TOKEN,1>";
+  EXPECT_NE(std::find(report.divergences.begin(), report.divergences.end(),
+                      expected),
+            report.divergences.end())
+      << report.summary();
+  // The other links carry the reference's messages.
+  for (const std::string& line : report.divergences) {
+    EXPECT_EQ(line.rfind("[link] p1->", 0), std::string::npos) << line;
+    EXPECT_EQ(line.rfind("[link] p2->", 0), std::string::npos) << line;
+    EXPECT_EQ(line.rfind("[link] p3->", 0), std::string::npos) << line;
+  }
+}
 
 TEST(ConformanceReportTest, SummaryNamesDivergences) {
   support::Rng rng(0xFACE);

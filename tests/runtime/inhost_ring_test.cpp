@@ -24,6 +24,8 @@
 #include "runtime/inhost/inhost_links.hpp"
 #include "runtime/inhost/membership.hpp"
 #include "runtime/wire.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/trace.hpp"
 #include "support/rng.hpp"
 #include "tests/sim/test_processes.hpp"
 
@@ -75,32 +77,36 @@ TEST(InHostRingTest, ElectsTrueLeaderOnSmallRing) {
   EXPECT_GT(result.peak_space_bits, 0u);
 }
 
-TEST(InHostRingTest, TraceIsSortedAndComplete) {
+TEST(InHostRingTest, LinkHistoriesMatchTheSimulatorRun) {
+  // Every consumed message lands in its in-link's history, in order, and
+  // the histories are the ones the step engine's run carries.
   const auto ring = ring::LabeledRing::from_values({2, 7, 1, 8});
-  const auto result =
-      run_inhost(ring, election::make_factory({AlgorithmId::kAk, 1, false}));
+  const auto factory = election::make_factory({AlgorithmId::kAk, 1, false});
+  InHostConfig config;
+  config.record_trace = true;
+  const auto result = run_inhost(ring, factory, config);
   ASSERT_EQ(result.outcome, sim::Outcome::kTerminated);
-  ASSERT_EQ(result.trace.size(), result.actions);
-  for (std::size_t i = 1; i < result.trace.size(); ++i) {
-    EXPECT_LT(result.trace[i - 1].seq, result.trace[i].seq) << "at " << i;
+  ASSERT_EQ(result.link_histories.size(), ring.size());
+  std::uint64_t recorded = 0;
+  for (const auto& history : result.link_histories) {
+    recorded += history.size();
   }
-  // Stamps are drawn from one counter starting at 0 with no other users:
-  // a terminated run's stamps are exactly 0..actions-1.
-  if (!result.trace.empty()) {
-    EXPECT_EQ(result.trace.front().seq, 0u);
-    EXPECT_EQ(result.trace.back().seq, result.actions - 1);
-  }
+  EXPECT_EQ(recorded, result.messages_received);
+
+  sim::SynchronousScheduler sched;
+  sim::StepEngine engine(ring, factory, sched);
+  sim::TraceRecorder trace;
+  engine.add_observer(&trace);
+  ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
+  EXPECT_EQ(result.link_histories, sim::link_histories(trace, ring.size()));
 }
 
-TEST(InHostRingTest, RecordTraceOffLeavesTraceEmpty) {
+TEST(InHostRingTest, HistoriesAreOffByDefault) {
   const auto ring = ring::LabeledRing::from_values({2, 7, 1, 8});
-  InHostConfig config;
-  config.record_trace = false;
   const auto result = run_inhost(
-      ring, election::make_factory({AlgorithmId::kChangRoberts, 1, false}),
-      config);
+      ring, election::make_factory({AlgorithmId::kChangRoberts, 1, false}));
   ASSERT_EQ(result.outcome, sim::Outcome::kTerminated);
-  EXPECT_TRUE(result.trace.empty());
+  EXPECT_TRUE(result.link_histories.empty());
 }
 
 TEST(InHostRingTest, LatencyTelemetryIsRecorded) {

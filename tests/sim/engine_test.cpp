@@ -144,12 +144,11 @@ TEST(StepEngineTest, FairnessForcesStarvedProcess) {
   // The convoy scheduler always picks the smallest pid; without the
   // fairness bound the announcement would still progress (each firing
   // shifts enablement), so use forever-forwarders: p0 stays enabled
-  // forever and convoy would starve everyone else. The aging bound must
-  // still let every process fire.
+  // forever and convoy would starve everyone else. The aging bound
+  // (kFairnessBound steps) must still let every process fire.
   ConvoyScheduler sched;
   StepConfig config;
   config.max_steps = 2000;
-  config.fairness_bound = 16;
   StepEngine engine(small_ring(), ForeverForwardProcess::make(), sched,
                     config);
   TraceRecorder trace;

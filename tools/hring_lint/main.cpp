@@ -15,9 +15,6 @@
 //   --emit-ir=PATH   write the extracted ProtocolIR as JSON ("-" = stdout)
 //   --json=PATH      write diagnostics as a JSON array ("-" = stdout)
 //   --sarif=PATH     write diagnostics as SARIF 2.1.0 ("-" = stdout)
-//   --cache-dir=DIR  replay diagnostics when the inputs' content hashes
-//                    match a previous run (ignored under --verify and
-//                    --emit-ir; see cache.hpp)
 //
 // Exit status: 0 clean / expectations matched, 1 diagnostics emitted /
 // expectations missed, 2 usage or I/O error.
@@ -26,11 +23,9 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "cache.hpp"
 #include "checks.hpp"
 #include "compdb.hpp"
 #include "diagnostics.hpp"
@@ -92,16 +87,6 @@ void write_diagnostics_json(const std::vector<Diagnostic>& diags,
   w.end_array();
 }
 
-/// Reads `path` into `bytes`. False when unreadable.
-[[nodiscard]] bool read_file(const std::string& path, std::string& bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  bytes = std::move(buf).str();
-  return true;
-}
-
 /// Opens PATH for writing ("-" selects stdout). Returns the stream to use,
 /// or nullptr on failure.
 std::ostream* open_sink(const std::string& path, std::ofstream& storage) {
@@ -124,7 +109,6 @@ int main(int argc, char** argv) {
   std::string emit_ir_path;
   std::string json_path;
   std::string sarif_path;
-  std::string cache_dir;
   bool verify = false;
   bool summary = false;
   bool quiet = false;
@@ -151,8 +135,6 @@ int main(int argc, char** argv) {
       json_path = arg.substr(7);
     } else if (arg.rfind("--sarif=", 0) == 0) {
       sarif_path = arg.substr(8);
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      cache_dir = arg.substr(12);
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--summary") {
@@ -198,49 +180,21 @@ int main(int argc, char** argv) {
   std::sort(paths.begin(), paths.end());
   paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
 
-  // Read every input up front: the bytes feed the cache key, and on a
-  // miss they feed the lexer without a second disk pass.
-  std::vector<std::string> contents(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (!read_file(paths[i], contents[i])) {
-      std::cerr << "hring-lint: cannot read " << paths[i] << "\n";
-      return 2;
-    }
-  }
-
-  // The cache replays whole-invocation diagnostics; --verify needs the
-  // live files for expectation comments and --emit-ir needs the model.
-  const bool use_cache =
-      !cache_dir.empty() && !verify && emit_ir_path.empty();
-  std::string cache_key;
-  std::vector<Diagnostic> diags;
-  bool cache_hit = false;
-  if (use_cache) {
-    std::vector<std::pair<std::string, std::uint64_t>> hashes;
-    hashes.reserve(paths.size());
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      hashes.emplace_back(paths[i], fnv1a(contents[i]));
-    }
-    cache_key = cache_key_hex(checks, std::move(hashes));
-    cache_hit = cache_load(cache_dir, cache_key, diags);
-  }
-
   // Lex and parse everything first: the model is cross-file, so e.g. an
   // out-of-line decode() in a .cpp attaches to its class from the .hpp.
   std::vector<std::unique_ptr<SourceFile>> files;
   Model model;
-  if (!cache_hit) {
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      auto file = std::make_unique<SourceFile>();
-      file->path = paths[i];
-      file->content = std::move(contents[i]);
-      lex(*file);
-      parse_file(*file, model);
-      files.push_back(std::move(file));
+  for (const std::string& path : paths) {
+    auto file = std::make_unique<SourceFile>();
+    if (!lex_file(path, *file)) {
+      std::cerr << "hring-lint: cannot read " << path << "\n";
+      return 2;
     }
-    run_checks(model, checks, diags);
-    if (use_cache) cache_store(cache_dir, cache_key, diags);
+    parse_file(*file, model);
+    files.push_back(std::move(file));
   }
+  std::vector<Diagnostic> diags;
+  run_checks(model, checks, diags);
 
   if (!emit_ir_path.empty()) {
     const ProtocolIR ir = extract_protocol_ir(model, nullptr);
@@ -285,8 +239,7 @@ int main(int argc, char** argv) {
   }
   if (summary) {
     const auto counts = count_by_check(diags);
-    std::cout << "hring-lint summary (" << paths.size() << " files"
-              << (cache_hit ? ", cached" : "") << "):";
+    std::cout << "hring-lint summary (" << paths.size() << " files):";
     for (const std::string& c : checks) {
       const auto it = counts.find(c);
       std::cout << " " << c << "="
