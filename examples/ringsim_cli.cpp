@@ -449,13 +449,21 @@ int main(int argc, char** argv) {
       if (!quiet && !json) std::cout << "metrics: " << metrics_out << "\n";
     }
 
+    // The sim path's terminal verifier, plus the wire's own health.
     const auto leader = result.leader_pid();
-    bool ok = result.outcome == sim::Outcome::kTerminated &&
-              leader.has_value() && result.wire_rejects == 0 &&
-              result.sends_abandoned == 0;
-    if (ok && election::elects_true_leader(*algo) && report.asymmetric &&
-        *leader != ring->true_leader()) {
-      ok = false;
+    sim::RunResult terminal;
+    terminal.outcome = result.outcome;
+    terminal.processes = result.processes;
+    auto verification = core::verify_election(
+        *ring, terminal,
+        election::elects_true_leader(*algo) && report.asymmetric);
+    if (result.wire_rejects != 0) {
+      verification.fail(std::to_string(result.wire_rejects) +
+                        " frames rejected by the wire decoder");
+    }
+    if (result.sends_abandoned != 0) {
+      verification.fail(std::to_string(result.sends_abandoned) +
+                        " sends abandoned at shutdown");
     }
     const double seconds =
         static_cast<double>(result.elapsed_ns) / 1e9;
@@ -480,7 +488,7 @@ int main(int argc, char** argv) {
       run_json.key("peak_space_bits").value(
           static_cast<std::uint64_t>(result.peak_space_bits));
       run_json.key("elapsed_seconds").value(seconds);
-      run_json.key("verified").value(ok);
+      run_json.key("verified").value(verification.ok);
       if (result.forensics.has_value()) {
         run_json.key("forensics").value(result.forensics->verdict);
       }
@@ -503,10 +511,10 @@ int main(int argc, char** argv) {
       std::cout << "threads: " << result.processes.size()
                 << " workers, " << seconds << " s\n";
       if (!quiet) {
-        std::cout << "verification: " << (ok ? "ok" : "FAILED") << "\n";
+        std::cout << "verification: " << verification.to_string() << "\n";
       }
     }
-    return ok ? EXIT_SUCCESS : EXIT_FAILURE;
+    return verification.ok ? EXIT_SUCCESS : EXIT_FAILURE;
   }
 
   if (sweep) {

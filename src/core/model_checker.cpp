@@ -5,6 +5,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "sim/invariants.hpp"
 #include "sim/process.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -79,7 +80,11 @@ class Checker {
   }
 
   ModelCheckReport run() {
-    check_safety("initial configuration");
+    const auto report = [this](const std::string& what) {
+      fail(what + " at initial configuration");
+    };
+    for (const auto& p : procs_) sim::check_initial(*p, report);
+    check_configuration(report);
     encode_snapshot();
     visited_.insert(hash_from(0));
     report_.configurations = 1;
@@ -159,53 +164,13 @@ class Checker {
     return state;
   }
 
-  /// Per-configuration safety on the working configuration (spec bullets 1
-  /// and 3/4 state parts).
-  void check_safety(const std::string& where) {
-    std::size_t leaders = 0;
-    for (const auto& p : procs_) {
-      if (p->is_leader()) ++leaders;
-      if (p->halted() && !p->done()) {
-        fail("halted before done at " + where);
-      }
-      if (p->done()) {
-        if (!p->leader().has_value()) {
-          fail("done without leader label at " + where);
-          continue;
-        }
-        bool matched = false;
-        for (const auto& q : procs_) {
-          if (q->is_leader() && q->id() == *p->leader()) matched = true;
-        }
-        if (!matched) {
-          fail("done but no leader carries the believed label at " + where);
-        }
-      }
-    }
-    if (leaders > 1) {
-      fail(std::to_string(leaders) + " simultaneous leaders at " + where);
-    }
-  }
-
-  /// Spec-variable values of one process, captured before a firing so
-  /// irrevocability can be checked after it.
-  struct SpecBits {
-    bool is_leader;
-    bool done;
-    bool halted;
-  };
-
-  /// Transition-local irrevocability (the fired process only; others are
-  /// untouched by construction).
-  void check_transition(const SpecBits& before, const Process& after,
-                        const std::string& where) {
-    if (before.is_leader && !after.is_leader()) {
-      fail("isLeader reverted at " + where);
-    }
-    if (before.done && !after.done()) fail("done reverted at " + where);
-    if (before.halted && !after.halted()) {
-      fail("halt reverted at " + where);
-    }
+  /// §II's per-configuration clauses on the working configuration.
+  template <class Report>
+  void check_configuration(Report&& report) const {
+    sim::check_configuration(
+        procs_.size(),
+        [this](ProcessId q) -> const Process& { return *procs_[q]; },
+        report);
   }
 
   void check_terminal() {
@@ -265,8 +230,7 @@ class Checker {
         return;
       }
       restore_snapshot(base);
-      const Process& fired = *procs_[pid];
-      const SpecBits before{fired.is_leader(), fired.done(), fired.halted()};
+      const sim::SpecState before = sim::SpecState::of(*procs_[pid]);
       {
         CheckContext ctx(links_, pid);
         const Message* head = head_of(pid);
@@ -281,9 +245,13 @@ class Checker {
         continue;
       }
       ++report_.configurations;
-      check_transition(before, *procs_[pid],
-                       "depth " + std::to_string(depth + 1));
-      check_safety("depth " + std::to_string(depth + 1));
+      // Only the fired process changed: the transition clause needs no
+      // other process.
+      const auto report = [this, depth](const std::string& what) {
+        fail(what + " at depth " + std::to_string(depth + 1));
+      };
+      sim::check_transition(before, *procs_[pid], report);
+      check_configuration(report);
       explore(depth + 1, child_base);
       arena_.resize(child_base);
     }

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "runtime/inhost/inhost_links.hpp"
-#include "runtime/inhost/membership.hpp"
 #include "support/json.hpp"
 #include "telemetry/trace_writer.hpp"
 
@@ -117,11 +116,12 @@ std::string ForensicReport::summary() const {
 
 ForensicReport collect_forensics(const telemetry::FlightRecorder& recorder,
                                  const InHostLinks& links,
-                                 const RingMembership& membership,
+                                 std::span<const std::uint64_t> beats,
                                  std::string verdict, std::uint64_t quiet_ms,
                                  const ForensicCounters& counters) {
   HRING_EXPECTS(recorder.attached());
   const std::size_t n = recorder.threads();
+  HRING_EXPECTS(beats.size() == n);
   ForensicReport report;
   report.verdict = std::move(verdict);
   report.quiet_ms = quiet_ms;
@@ -132,7 +132,7 @@ ForensicReport collect_forensics(const telemetry::FlightRecorder& recorder,
     const std::size_t in_port = (pid + n - 1) % n;
     ForensicThread thread;
     thread.pid = pid;
-    thread.beats = membership.beats(pid);
+    thread.beats = beats[pid];
     thread.events = recorder.ring(pid).snapshot();
     thread.events_recorded = recorder.ring(pid).recorded();
     thread.events_dropped = thread.events_recorded - thread.events.size();

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,12 +37,11 @@
 namespace hring::runtime {
 
 class InHostLinks;
-class RingMembership;
 
 /// One worker thread's forensic view.
 struct ForensicThread {
   sim::ProcessId pid = 0;
-  /// Liveness beats observed (membership plane).
+  /// Liveness beats observed (one per idle-loop pass of the worker).
   std::uint64_t beats = 0;
   /// Flight events ever recorded; `events` holds the retained tail.
   std::uint64_t events_recorded = 0;
@@ -92,11 +92,12 @@ struct ForensicReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Freezes the evidence. `recorder` must be attached; the caller names the
-/// verdict ("stall", "completed", ...).
+/// Freezes the evidence. `recorder` must be attached; `beats` holds each
+/// worker's beat count; the caller names the verdict ("stall",
+/// "completed", ...).
 [[nodiscard]] ForensicReport collect_forensics(
     const telemetry::FlightRecorder& recorder, const InHostLinks& links,
-    const RingMembership& membership, std::string verdict,
+    std::span<const std::uint64_t> beats, std::string verdict,
     std::uint64_t quiet_ms, const ForensicCounters& counters);
 
 /// Serializes the "hring-forensics/1" JSON report.

@@ -95,7 +95,7 @@ class InHostLinks {
   /// producer publishes its frame *before* ringing, so a consumer that
   /// missed the frame is guaranteed a changed ticket or a pending notify.
   // hring-role: consumer
-  [[nodiscard]] std::uint64_t doorbell(std::size_t port) const {
+  [[nodiscard]] std::uint32_t doorbell(std::size_t port) const {
     HRING_EXPECTS(port < ports());
     return doorbells_[port].value.load(std::memory_order_acquire);
   }
@@ -105,7 +105,7 @@ class InHostLinks {
   /// workers cost zero CPU this way — essential when the host runs many
   /// more workers than cores.
   // hring-role: consumer
-  void doorbell_wait(std::size_t port, std::uint64_t ticket) const {
+  void doorbell_wait(std::size_t port, std::uint32_t ticket) const {
     HRING_EXPECTS(port < ports());
     doorbells_[port].value.wait(ticket, std::memory_order_acquire);
   }
@@ -209,9 +209,15 @@ class InHostLinks {
 
   /// One cache line per port: bumped by the producer after each publish,
   /// waited on (futex) by the parked consumer, kicked by ring_all().
+  /// 32 bits, because std::atomic<T>::wait parks on the word itself only
+  /// when T is int-sized: a 64-bit word parks in the library's shared
+  /// waiter table, where each notify wakes every thread hashed to the same
+  /// entry (at n = 1000, dozens of spurious wakes per message). The ticket
+  /// cannot wrap under a parked consumer: it drains nothing, so at most a
+  /// queue's worth of frames, one ring each, plus ring_all() can arrive.
   struct alignas(64) Doorbell {
     // hring-shared: producer,coordinator->consumer
-    std::atomic<std::uint64_t> value{0};
+    std::atomic<std::uint32_t> value{0};
   };
 
   // hring-lint: hot-path

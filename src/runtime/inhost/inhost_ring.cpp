@@ -4,11 +4,11 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 #include <thread>
 
 #include "runtime/inhost/inhost_links.hpp"
-#include "runtime/inhost/membership.hpp"
 #include "support/assert.hpp"
 #include "telemetry/flight_recorder.hpp"
 
@@ -32,11 +32,24 @@ void rec(FlightRing* ring, FlightEventKind kind, std::uint64_t arg) {
 constexpr std::array<double, 8> kLatencyEdgesNs = {
     1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9};
 
+/// One liveness counter per cache line: beats are the workers' only
+/// all-threads-write-adjacent state; sharing lines would serialize the
+/// park loops on coherence traffic.
+struct alignas(64) BeatSlot {
+  // hring-shared: consumer,watchdog
+  std::atomic<std::uint64_t> count{0};
+};
+
 /// Shared run state.
 struct Shared {
   std::vector<std::unique_ptr<Process>> procs;
   InHostLinks links;  // port i: p_i -> p_{i+1}
-  RingMembership membership;
+  /// Every worker arrives here before its first firing; the election
+  /// starts when all n have arrived.
+  std::latch start;
+  /// Per-worker liveness beats: the watchdog tells "parked, ring quiet"
+  /// (beats advancing) from a worker that never reached the idle loop.
+  std::unique_ptr<BeatSlot[]> beats;
   /// Detached unless config.flight_recorder; each worker writes only its
   /// own ring (telemetry/flight_recorder.hpp's single-writer discipline).
   telemetry::FlightRecorder flight;
@@ -48,7 +61,9 @@ struct Shared {
   std::atomic<bool> shutdown{false};
   std::atomic<bool> budget_hit{false};
 
-  explicit Shared(std::size_t n) : membership(n) {}
+  explicit Shared(std::size_t n)
+      : start(static_cast<std::ptrdiff_t>(n)),
+        beats(std::make_unique<BeatSlot[]>(n)) {}
 
   [[nodiscard]] std::size_t in_port(ProcessId pid) const {
     return (pid + links.ports() - 1) % links.ports();
@@ -59,6 +74,21 @@ struct Shared {
     return shutdown.load(std::memory_order_relaxed);
   }
 };
+
+/// Liveness beat from worker `pid`; one relaxed store per idle-loop pass.
+// hring-lint: hot-path
+// hring-role: consumer
+void beat(Shared& shared, ProcessId pid) {
+  shared.beats[pid].count.store(
+      shared.beats[pid].count.load(std::memory_order_relaxed) + 1,
+      std::memory_order_relaxed);
+}
+
+/// Beats observed from worker `pid` so far (watchdog side).
+// hring-role: watchdog
+[[nodiscard]] std::uint64_t beats_of(const Shared& shared, ProcessId pid) {
+  return shared.beats[pid].count.load(std::memory_order_relaxed);
+}
 
 /// Per-worker private state, merged by the main thread after join.
 struct WorkerLocal {
@@ -132,16 +162,9 @@ void worker_loop(Shared& shared, WorkerLocal& local, ProcessId pid,
       shared.flight.attached() ? &shared.flight.ring(pid) : nullptr;
   std::vector<Message>* history =
       config.record_trace ? &local.received : nullptr;
-  // Bootstrap: announce, then hold until the control plane starts the
-  // election (or aborts the run).
+  // Start: no worker fires before all n have arrived.
   rec(flight, FlightEventKind::kJoin, pid);
-  shared.membership.join(pid);
-  if (!shared.membership.await_start(
-          [&] { return shared.shutting_down(); })) {
-    rec(flight, FlightEventKind::kExit, 0);
-    shared.workers_alive.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
+  shared.start.arrive_and_wait();
   rec(flight, FlightEventKind::kStart, 0);
   if (config.post_start_hook) {
     config.post_start_hook(pid, [&] { return shared.shutting_down(); });
@@ -198,7 +221,7 @@ void worker_loop(Shared& shared, WorkerLocal& local, ProcessId pid,
     // park on the in-port doorbell — a futex sleep the producer's next
     // send (or shutdown's ring_all) ends directly. Beats let the
     // watchdog tell "parked, ring quiet" from "never got here".
-    shared.membership.beat(pid);
+    beat(shared, pid);
     if (!beat_recorded) {
       rec(flight, FlightEventKind::kBeat, local.fired);
       beat_recorded = true;
@@ -211,7 +234,7 @@ void worker_loop(Shared& shared, WorkerLocal& local, ProcessId pid,
       rec(flight, FlightEventKind::kBackoffEscalate, 0);
       escalation_recorded = true;
     }
-    const std::uint64_t ticket = shared.links.doorbell(in_port);
+    const std::uint32_t ticket = shared.links.doorbell(in_port);
     // Re-check enabledness after taking the ticket: a frame published
     // before the ticket read would otherwise be slept through. Parking
     // while disabled is sound even with a frame queued — a disabled
@@ -232,16 +255,6 @@ void worker_loop(Shared& shared, WorkerLocal& local, ProcessId pid,
 
 }  // namespace
 
-std::optional<sim::ProcessId> InHostResult::leader_pid() const {
-  std::optional<sim::ProcessId> found;
-  for (const auto& p : processes) {
-    if (!p.is_leader) continue;
-    if (found.has_value()) return std::nullopt;
-    found = p.pid;
-  }
-  return found;
-}
-
 InHostResult run_inhost(const ring::LabeledRing& ring,
                         const sim::ProcessFactory& factory,
                         const InHostConfig& config) {
@@ -255,12 +268,9 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
   }
   // Queue capacity: every algorithm here keeps O(1) frames in flight per
   // process; 4n+16 frames bounds a runaway at backpressure instead of
-  // memory exhaustion.
-  const std::size_t capacity_bytes =
-      config.queue_capacity_bytes > 0
-          ? config.queue_capacity_bytes
-          : (4 * n + 16) * wire::kFrameBytes;
-  shared.links.reset(n, label_bits, capacity_bytes);
+  // memory exhaustion. A full link backpressures the sender (adaptive
+  // spin/yield/sleep, canceled by shutdown).
+  shared.links.reset(n, label_bits, (4 * n + 16) * wire::kFrameBytes);
   if (config.flight_recorder) {
     shared.flight.reset(n, config.flight_capacity);
   }
@@ -277,16 +287,9 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
                          label_bits);
   }
 
-  // Control plane: wait for every join, wire the unidirectional ring,
-  // release the workers.
-  const bool joined =
-      shared.membership.await_joined([&] { return shared.shutting_down(); });
-  HRING_ASSERT(joined);  // in-host workers always reach join()
-  for (ProcessId pid = 0; pid < n; ++pid) {
-    shared.membership.set_next(pid, (pid + 1) % n);
-  }
+  // The election starts when every worker has arrived at the latch.
+  shared.start.wait();
   const std::uint64_t started_ns = monotonic_ns();
-  shared.membership.start_election();
 
   // Watchdog: finished when all workers exited; deadlocked when nothing
   // fired for the quiet period while workers are still parked. The
@@ -309,6 +312,13 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
         shared.received.load(std::memory_order_relaxed);
     counters.wire_rejects = shared.links.total_rejects();
     return counters;
+  };
+  const auto read_beats = [&shared, n] {
+    std::vector<std::uint64_t> beats(n);
+    for (ProcessId pid = 0; pid < n; ++pid) {
+      beats[pid] = beats_of(shared, pid);
+    }
+    return beats;
   };
   for (;;) {
     if (shared.workers_alive.load(std::memory_order_acquire) == 0) break;
@@ -336,10 +346,9 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
       // period makes monotone progress toward the settled picture and
       // confirmation terminates.
       if (shared.flight.attached()) {
-        std::vector<std::uint64_t> beats_now(n);
+        std::vector<std::uint64_t> beats_now = read_beats();
         bool settled_or_frozen = true;
         for (ProcessId pid = 0; pid < n; ++pid) {
-          beats_now[pid] = shared.membership.beats(pid);
           const FlightEventKind last = shared.flight.ring(pid).last_kind();
           const bool settled = last == FlightEventKind::kPark ||
                                last == FlightEventKind::kExit;
@@ -359,11 +368,10 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
       // append wake/exit events and repaint it.
       if (shared.flight.attached() && !forensics.has_value()) {
         forensics = collect_forensics(shared.flight, shared.links,
-                                      shared.membership, "stall", quiet_ms,
+                                      read_beats(), "stall", quiet_ms,
                                       snapshot_counters());
       }
       shared.shutdown.store(true, std::memory_order_relaxed);
-      shared.membership.kick();
       shared.links.ring_all();
     }
   }
@@ -384,15 +392,7 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
   bool clean = true;
   for (ProcessId pid = 0; pid < n; ++pid) {
     const Process& p = *shared.procs[pid];
-    sim::ProcessSnapshot snap;
-    snap.pid = p.pid();
-    snap.id = p.id();
-    snap.is_leader = p.is_leader();
-    snap.done = p.done();
-    snap.halted = p.halted();
-    snap.leader = p.leader();
-    snap.debug = p.debug_state();
-    result.processes.push_back(std::move(snap));
+    result.processes.push_back(sim::snapshot_of(p));
     if (!p.halted()) clean = false;
     if (shared.links.pending_bytes(pid) != 0) clean = false;
   }
@@ -412,7 +412,7 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
             ? "budget-exhausted"
             : "deadlock";
     forensics = collect_forensics(shared.flight, shared.links,
-                                  shared.membership, verdict, quiet_ms,
+                                  read_beats(), verdict, quiet_ms,
                                   snapshot_counters());
   }
   result.forensics = std::move(forensics);

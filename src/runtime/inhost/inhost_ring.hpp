@@ -2,12 +2,14 @@
 // links, messages as hardened wire frames.
 //
 // The same Process code that runs in the simulators runs here, with the
-// OS scheduler supplying the asynchrony. A membership bootstrap
-// (join → set_next → start_election) brings the ring up, the data plane
-// is runtime/inhost/inhost_links.hpp (no locks, no in-memory Message
-// hand-off — every message is encoded to bytes and decoded back),
-// workers emit liveness beats, and a watchdog declares deadlock after a
-// quiet period with no firing, as the engines report a stalled run.
+// OS scheduler supplying the asynchrony. Port i is the fixed link
+// p_i → p_{i+1} of §II's ring; every worker waits on one latch until all
+// n have arrived, so none fires before the whole ring is up. The data
+// plane is runtime/inhost/inhost_links.hpp (no locks, no in-memory
+// Message hand-off — every message is encoded to bytes and decoded
+// back), workers emit liveness beats, and a watchdog declares deadlock
+// after a quiet period with no firing, as the engines report a stalled
+// run.
 //
 // With record_trace on, each worker logs every message it consumes — the
 // received history of its in-link. Every guard but the init action waits
@@ -40,10 +42,6 @@ struct InHostConfig {
   /// raises it to 4ms × n so that scheduling latency on an oversubscribed
   /// host is never mistaken for a deadlock.
   std::uint64_t quiet_period_ms = 500;
-  /// Per-link queue capacity in bytes; 0 picks the default (enough for
-  /// 4n+16 frames). A full link backpressures the sender (adaptive
-  /// spin/yield/sleep, canceled by shutdown).
-  std::size_t queue_capacity_bytes = 0;
   /// Record each link's received messages into
   /// InHostResult::link_histories (the conformance harness turns this
   /// on). Costs one vector push per consumed message.
@@ -81,8 +79,8 @@ struct InHostResult {
   std::uint64_t sends_abandoned = 0;
   /// Peak per-process space over the run, in bits (Theorem 2/4 metric).
   std::size_t peak_space_bits = 0;
-  /// Wall-clock duration of the election (start_election to last worker
-  /// exit), in nanoseconds.
+  /// Wall-clock duration of the election (all workers arrived at the
+  /// start latch to last worker exit), in nanoseconds.
   std::uint64_t elapsed_ns = 0;
   /// Merged per-worker telemetry: inhost_message_latency_ns histogram,
   /// reject/abandon counters.
@@ -97,7 +95,9 @@ struct InHostResult {
   std::optional<ForensicReport> forensics;
 
   /// The unique leader's pid, if exactly one process has isLeader.
-  [[nodiscard]] std::optional<sim::ProcessId> leader_pid() const;
+  [[nodiscard]] std::optional<sim::ProcessId> leader_pid() const {
+    return sim::unique_leader(processes);
+  }
 };
 
 /// Runs one election on the in-host runtime. Blocks until the run

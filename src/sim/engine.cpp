@@ -104,17 +104,7 @@ RunResult ExecutionCore::make_result(Outcome outcome) {
   result.outcome = outcome;
   result.stats = stats_;
   result.processes.reserve(processes_.size());
-  for (const auto& p : processes_) {
-    ProcessSnapshot snap;
-    snap.pid = p->pid();
-    snap.id = p->id();
-    snap.is_leader = p->is_leader();
-    snap.done = p->done();
-    snap.halted = p->halted();
-    snap.leader = p->leader();
-    snap.debug = p->debug_state();
-    result.processes.push_back(std::move(snap));
-  }
+  for (const auto& p : processes_) result.processes.push_back(snapshot_of(*p));
   return result;
 }
 

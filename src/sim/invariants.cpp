@@ -5,74 +5,30 @@
 namespace hring::sim {
 
 void SpecMonitor::on_start(const ExecutionView& view) {
-  shadows_.assign(view.process_count(), Shadow{});
+  const auto report = [&](const std::string& what) { record(view, what); };
+  shadows_.clear();
   for (ProcessId pid = 0; pid < view.process_count(); ++pid) {
     const Process& p = view.process(pid);
-    // The spec requires isLeader and done to start FALSE.
-    if (p.is_leader()) report(view, "p" + std::to_string(pid) +
-                                        ".isLeader TRUE initially");
-    if (p.done()) {
-      report(view, "p" + std::to_string(pid) + ".done TRUE initially");
-    }
+    check_initial(p, report);
+    shadows_.push_back(SpecState::of(p));
   }
 }
 
 void SpecMonitor::on_step_end(const ExecutionView& view) {
   HRING_ASSERT(shadows_.size() == view.process_count());
-  std::size_t leaders = 0;
+  const auto report = [&](const std::string& what) { record(view, what); };
   for (ProcessId pid = 0; pid < view.process_count(); ++pid) {
     const Process& p = view.process(pid);
-    Shadow& shadow = shadows_[pid];
-    const std::string who = "p" + std::to_string(pid);
-
-    if (p.is_leader()) ++leaders;
-    if (shadow.is_leader && !p.is_leader()) {
-      report(view, who + ".isLeader reverted TRUE->FALSE");
-    }
-    if (shadow.done && !p.done()) {
-      report(view, who + ".done reverted TRUE->FALSE");
-    }
-    if (shadow.halted && !p.halted()) {
-      report(view, who + " resumed after halting");
-    }
-    if (p.halted() && !p.done()) {
-      report(view, who + " halted before done");
-    }
-    if (p.done()) {
-      if (!p.leader().has_value()) {
-        report(view, who + ".done without p.leader set");
-      } else {
-        if (shadow.done && shadow.leader.has_value() &&
-            !(*shadow.leader == *p.leader())) {
-          report(view, who + ".leader changed after done");
-        }
-        // Some current leader must carry the label p believes in.
-        bool matched = false;
-        for (ProcessId q = 0; q < view.process_count(); ++q) {
-          const Process& cand = view.process(q);
-          if (cand.is_leader() && cand.id() == *p.leader()) {
-            matched = true;
-            break;
-          }
-        }
-        if (!matched) {
-          report(view, who + ".done but no leader carries label " +
-                           words::to_string(*p.leader()));
-        }
-      }
-    }
-
-    shadow.is_leader = p.is_leader();
-    shadow.done = p.done();
-    shadow.halted = p.halted();
-    shadow.leader = p.leader();
+    check_transition(shadows_[pid], p, report);
+    shadows_[pid] = SpecState::of(p);
   }
-  if (leaders > 1) {
-    report(view, std::to_string(leaders) + " simultaneous leaders");
-  }
+  check_configuration(
+      view.process_count(),
+      [&view](ProcessId q) -> const Process& { return view.process(q); },
+      report);
 }
 
-void SpecMonitor::report(const ExecutionView& view, const std::string& what) {
+void SpecMonitor::record(const ExecutionView& view, const std::string& what) {
   if (!first_violation_step_.has_value()) {
     first_violation_step_ = view.current_step();
   }

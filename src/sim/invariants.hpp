@@ -1,6 +1,6 @@
-// Runtime monitor for the leader-election specification (§II, bullets 1-4).
+// The leader-election specification's safety clauses (§II, bullets 1, 3
+// and 4), written once, and the runtime monitor that checks them.
 //
-// Checked after every configuration step:
 //   1. at most one process has isLeader = TRUE, and isLeader never reverts
 //      TRUE → FALSE (irrevocability);
 //   3. done never reverts; once p.done holds, some process L has
@@ -9,6 +9,15 @@
 //   4. a process only halts after its done is TRUE.
 // (Bullet 2 — every p.leader equals the elected label in the terminal
 // configuration — is a terminal-state property checked by core::verify.)
+//
+// The clauses come in three parts: check_initial, check_transition (one
+// process across one step) and check_configuration. SpecMonitor runs them
+// on every step of a simulated execution; the model checker
+// (core/model_checker.cpp) runs them on every explored configuration.
+// Each part calls `report(what)` once per violation and builds the
+// message only then. Labels are compared by raw value, so a check never
+// adds to Label::comparison_count(): Stats::label_comparisons counts the
+// algorithm's comparisons alone.
 //
 // The monitor records violations instead of aborting: the impossibility
 // experiments (E2) deliberately drive algorithms outside their class and
@@ -23,6 +32,87 @@
 #include "sim/observer.hpp"
 
 namespace hring::sim {
+
+/// One process's spec variables, captured before a step so the next
+/// configuration can be checked against them.
+struct SpecState {
+  bool is_leader = false;
+  bool done = false;
+  bool halted = false;
+  std::optional<Label> leader;
+
+  [[nodiscard]] static SpecState of(const Process& p) {
+    return SpecState{p.is_leader(), p.done(), p.halted(), p.leader()};
+  }
+};
+
+/// "p3": how violation messages name a process.
+[[nodiscard]] inline std::string spec_name(const Process& p) {
+  return "p" + std::to_string(p.pid());
+}
+
+/// isLeader and done start FALSE.
+template <class Report>
+void check_initial(const Process& p, Report&& report) {
+  if (p.is_leader()) report(spec_name(p) + ".isLeader TRUE initially");
+  if (p.done()) report(spec_name(p) + ".done TRUE initially");
+}
+
+/// `p` after a step whose start found it in `before`: isLeader, done and
+/// halted never revert, and p.leader never changes after done.
+template <class Report>
+void check_transition(const SpecState& before, const Process& p,
+                      Report&& report) {
+  if (before.is_leader && !p.is_leader()) {
+    report(spec_name(p) + ".isLeader reverted TRUE->FALSE");
+  }
+  if (before.done && !p.done()) {
+    report(spec_name(p) + ".done reverted TRUE->FALSE");
+  }
+  if (before.halted && !p.halted()) {
+    report(spec_name(p) + " resumed after halting");
+  }
+  if (before.done && before.leader.has_value() && p.done()) {
+    const std::optional<Label> now = p.leader();
+    if (now.has_value() && now->value() != before.leader->value()) {
+      report(spec_name(p) + ".leader changed after done");
+    }
+  }
+}
+
+/// One configuration of `n` processes, `process(q)` being p_q: halted
+/// implies done, done implies p.leader is set and some current leader
+/// carries it, and at most one process is a leader.
+template <class ProcessAt, class Report>
+void check_configuration(std::size_t n, ProcessAt&& process,
+                         Report&& report) {
+  std::size_t leaders = 0;
+  for (ProcessId pid = 0; pid < n; ++pid) {
+    const Process& p = process(pid);
+    if (p.is_leader()) ++leaders;
+    if (p.halted() && !p.done()) {
+      report(spec_name(p) + " halted before done");
+    }
+    if (!p.done()) continue;
+    const std::optional<Label> believed = p.leader();
+    if (!believed.has_value()) {
+      report(spec_name(p) + ".done without p.leader set");
+      continue;
+    }
+    bool matched = false;
+    for (ProcessId q = 0; q < n && !matched; ++q) {
+      const Process& cand = process(q);
+      matched = cand.is_leader() && cand.id().value() == believed->value();
+    }
+    if (!matched) {
+      report(spec_name(p) + ".done but no leader carries label " +
+             words::to_string(*believed));
+    }
+  }
+  if (leaders > 1) {
+    report(std::to_string(leaders) + " simultaneous leaders");
+  }
+}
 
 class SpecMonitor : public Observer {
  public:
@@ -40,16 +130,9 @@ class SpecMonitor : public Observer {
   }
 
  private:
-  struct Shadow {
-    bool is_leader = false;
-    bool done = false;
-    bool halted = false;
-    std::optional<Label> leader;
-  };
+  void record(const ExecutionView& view, const std::string& what);
 
-  void report(const ExecutionView& view, const std::string& what);
-
-  std::vector<Shadow> shadows_;
+  std::vector<SpecState> shadows_;
   std::vector<std::string> violations_;
   std::optional<std::uint64_t> first_violation_step_;
   static constexpr std::size_t kMaxRecorded = 32;

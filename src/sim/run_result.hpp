@@ -36,6 +36,24 @@ struct ProcessSnapshot {
   std::string debug;
 };
 
+/// Copies `p`'s final state (the engines and the in-host runtime).
+[[nodiscard]] inline ProcessSnapshot snapshot_of(const Process& p) {
+  return {p.pid(),    p.id(),     p.is_leader(),  p.done(),
+          p.halted(), p.leader(), p.debug_state()};
+}
+
+/// The unique leader's pid, if exactly one snapshot has isLeader.
+[[nodiscard]] inline std::optional<ProcessId> unique_leader(
+    const std::vector<ProcessSnapshot>& processes) {
+  std::optional<ProcessId> found;
+  for (const auto& p : processes) {
+    if (!p.is_leader) continue;
+    if (found.has_value()) return std::nullopt;
+    found = p.pid;
+  }
+  return found;
+}
+
 struct RunResult {
   Outcome outcome = Outcome::kDeadlock;
   Stats stats;
@@ -46,13 +64,7 @@ struct RunResult {
 
   /// The unique leader's pid, if exactly one process has isLeader.
   [[nodiscard]] std::optional<ProcessId> leader_pid() const {
-    std::optional<ProcessId> found;
-    for (const auto& p : processes) {
-      if (!p.is_leader) continue;
-      if (found.has_value()) return std::nullopt;
-      found = p.pid;
-    }
-    return found;
+    return unique_leader(processes);
   }
 };
 

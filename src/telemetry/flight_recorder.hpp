@@ -37,8 +37,8 @@ namespace hring::telemetry {
 /// (runtime/inhost/inhost_ring.cpp); `arg` is kind-specific (see each
 /// entry).
 enum class FlightEventKind : std::uint8_t {
-  kJoin,             ///< membership join announced; arg = pid
-  kStart,            ///< start_election observed; arg = 0
+  kJoin,             ///< worker arrives at the start latch; arg = pid
+  kStart,            ///< start latch released (all arrived); arg = 0
   kFire,             ///< one firing begins; arg = the worker's firing index
   kSend,             ///< frame enqueued; arg = the frame's send_ts_ns
   kRecv,             ///< frame consumed; arg = the frame's send_ts_ns

@@ -189,18 +189,16 @@ void TelemetryObserver::on_action(const sim::ExecutionView& view,
     } else {
       const PendingSend sent = queue.pop();
       metrics_.record(latency_hist_, event.time - sent.time);
-      if (config_.message_spans) {
-        if (message_spans_.size() < config_.max_message_spans) {
-          MessageSpan span;
-          span.from = in_link;
-          span.kind = sent.kind;
-          span.label = sent.label;
-          span.send_time = sent.time;
-          span.recv_time = event.time;
-          message_spans_.push_back(span);
-        } else {
-          ++dropped_message_spans_;
-        }
+      if (message_spans_.size() < config_.max_message_spans) {
+        MessageSpan span;
+        span.from = in_link;
+        span.kind = sent.kind;
+        span.label = sent.label;
+        span.send_time = sent.time;
+        span.recv_time = event.time;
+        message_spans_.push_back(span);
+      } else {
+        ++dropped_message_spans_;
       }
     }
   }

@@ -90,8 +90,6 @@ class TelemetryObserver : public sim::Observer {
     /// Bound on stored message spans (runaway-run guard; metrics keep
     /// counting past it, only span storage stops).
     std::size_t max_message_spans = std::size_t{1} << 16;
-    /// Record per-message spans at all. Histograms are unaffected.
-    bool message_spans = true;
   };
 
   TelemetryObserver() : TelemetryObserver(Config{}) {}

@@ -70,6 +70,36 @@ TEST(DriverTest, MonitorCanBeDisabled) {
   EXPECT_TRUE(result.violations.empty());
 }
 
+TEST(DriverTest, SpecMonitorAddsNoLabelComparisons) {
+  // Stats::label_comparisons counts the algorithm's comparisons alone: the
+  // monitor's checks compare raw label values.
+  const auto figure1 =
+      ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2});
+  const auto distinct = ring::LabeledRing::from_values({3, 1, 4, 2, 5});
+  for (const auto id : election::all_algorithms()) {
+    const bool homonyms = election::elects_true_leader(id);
+    const auto& ring = homonyms ? figure1 : distinct;
+    for (const auto engine :
+         {core::EngineKind::kStep, core::EngineKind::kEvent}) {
+      ElectionConfig config;
+      config.algorithm = {id, homonyms ? 3u : 1u, false};
+      config.engine = engine;
+      config.monitor_spec = true;
+      const auto monitored = core::run_election(ring, config);
+      config.monitor_spec = false;
+      const auto bare = core::run_election(ring, config);
+      const std::string cell =
+          std::string(election::algorithm_name(id)) +
+          (engine == core::EngineKind::kStep ? " step" : " event");
+      ASSERT_EQ(monitored.outcome, sim::Outcome::kTerminated) << cell;
+      EXPECT_GT(bare.stats.label_comparisons, 0u) << cell;
+      EXPECT_EQ(monitored.stats.label_comparisons,
+                bare.stats.label_comparisons)
+          << cell;
+    }
+  }
+}
+
 TEST(DriverTest, BudgetExhaustionReported) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 2});
   ElectionConfig config;

@@ -2,11 +2,11 @@
 //
 // Correctness here is the conformance harness's job
 // (tests/runtime/conformance_test.cpp); these tests cover the runtime's
-// own machinery — bootstrap, election results across all five
-// algorithms at growing worker counts (the TSan stress matrix), homonym
-// rings under real schedules, budget and deadlock outcomes, telemetry,
-// the links' cancel and doorbell paths, and the wire-path mutation tests
-// that inject corrupted byte streams straight into the links.
+// own machinery — election results across all five algorithms at
+// growing worker counts (the TSan stress matrix), homonym rings under
+// real schedules, budget and deadlock outcomes, telemetry, the links'
+// cancel and doorbell paths, and the wire-path mutation tests that inject
+// corrupted byte streams straight into the links.
 #include "runtime/inhost/inhost_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "ring/generator.hpp"
 #include "ring/labeled_ring.hpp"
 #include "runtime/inhost/inhost_links.hpp"
-#include "runtime/inhost/membership.hpp"
 #include "runtime/wire.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
@@ -36,32 +35,6 @@ using election::AlgorithmConfig;
 using election::AlgorithmId;
 using sim::Label;
 using sim::Message;
-
-TEST(RingMembershipTest, BootstrapSequence) {
-  RingMembership membership(3);
-  EXPECT_FALSE(membership.all_joined());
-  membership.join(0);
-  membership.join(1);
-  membership.join(2);
-  EXPECT_TRUE(membership.all_joined());
-  membership.set_next(0, 1);
-  membership.set_next(1, 2);
-  membership.set_next(2, 0);
-  EXPECT_EQ(membership.next_of(0), 1u);
-  EXPECT_EQ(membership.next_of(2), 0u);
-  membership.start_election();
-  EXPECT_TRUE(membership.await_start([] { return false; }));
-  membership.beat(1);
-  membership.beat(1);
-  EXPECT_EQ(membership.beats(1), 2u);
-  EXPECT_EQ(membership.beats(0), 0u);
-}
-
-TEST(RingMembershipTest, DoubleJoinViolatesPrecondition) {
-  RingMembership membership(2);
-  membership.join(0);
-  EXPECT_DEATH(membership.join(0), "precondition");
-}
 
 TEST(InHostRingTest, ElectsTrueLeaderOnSmallRing) {
   const auto ring = ring::LabeledRing::from_values({3, 1, 4, 1, 5});
@@ -239,7 +212,7 @@ TEST(InHostRingTest, TrivialElectionTerminates) {
 
 // -- TSan stress matrix ----------------------------------------------------
 // All five algorithms at ring sizes from 3 to 64 workers. Under the tsan
-// preset this is the runtime's main race hunt: bootstrap, SPSC traffic,
+// preset this is the runtime's main race hunt: start latch, SPSC traffic,
 // backpressure, shutdown — every pairing gets exercised at every size.
 
 struct StressCase {
@@ -394,7 +367,7 @@ TEST(InHostLinksTest, ParkedConsumerWakesOnSendAndOnRingAll) {
   // consumer sees the frame.
   Message seen{};
   std::thread consumer([&] {
-    const std::uint64_t ticket = links.doorbell(0);
+    const std::uint32_t ticket = links.doorbell(0);
     if (links.peek(0) == nullptr) links.doorbell_wait(0, ticket);
     if (const Message* head = links.peek(0)) seen = *head;
   });
@@ -407,7 +380,7 @@ TEST(InHostLinksTest, ParkedConsumerWakesOnSendAndOnRingAll) {
   std::atomic<bool> stop{false};
   std::thread waiter([&] {
     while (!stop.load()) {
-      const std::uint64_t ticket = links.doorbell(1);
+      const std::uint32_t ticket = links.doorbell(1);
       if (stop.load()) break;
       links.doorbell_wait(1, ticket);
     }

@@ -1212,7 +1212,7 @@ void check_decode_before_trust(const Model& model,
                   "raw wire bytes '" + std::string(t[i].text) +
                       "' are read without passing through wire::decode; "
                       "undecoded bytes carry no authority over protocol or "
-                      "membership state",
+                      "runtime state",
                   diags);
       }
     }
