@@ -13,13 +13,13 @@
 namespace hring::core {
 namespace {
 
-using sim::Label;
 using sim::Message;
 using sim::Process;
 using sim::ProcessId;
 
 /// Flat FIFO message queue of the working configuration. pop is a head
-/// bump; restore() rebuilds the queue in place, keeping capacity.
+/// bump and popped messages stay in place, so undoing a firing resets the
+/// head and truncates the tail.
 struct CheckLink {
   std::vector<Message> queue;
   std::size_t head = 0;
@@ -29,9 +29,15 @@ struct CheckLink {
   [[nodiscard]] const Message& front() const { return queue[head]; }
   void pop_front() { ++head; }
   void push_back(const Message& msg) { queue.push_back(msg); }
-  void clear() {
-    queue.clear();
-    head = 0;
+};
+
+/// splitmix64 chain over a component's words.
+struct WordHash {
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+
+  void absorb(std::uint64_t word) {
+    std::uint64_t mixed = state ^ word;
+    state = support::splitmix64(mixed);
   }
 };
 
@@ -74,6 +80,7 @@ class Checker {
     for (ProcessId pid = 0; pid < ring.size(); ++pid) {
       procs_.push_back(factory(pid, ring.label(pid)));
     }
+    terms_.resize(2 * ring.size());
     if (config_.check_true_leader) {
       expected_leader_ = ring.true_leader();
     }
@@ -85,24 +92,48 @@ class Checker {
     };
     for (const auto& p : procs_) sim::check_initial(*p, report);
     check_configuration(report);
-    encode_snapshot();
-    visited_.insert(hash_from(0));
+    for (ProcessId pid = 0; pid < procs_.size(); ++pid) {
+      set_term(pid, hash_process(pid));
+      set_term(link_component(pid), hash_link(links_[pid]));
+    }
+    visited_.insert(hash_);
     report_.configurations = 1;
-    explore(/*depth=*/0, /*base=*/0);
+    explore(/*depth=*/0);
     report_.complete = !budget_exhausted_;
     return report_;
   }
 
  private:
-  static constexpr std::uint64_t kSeparator = 0x5E9A7A70A11C0DEULL;
+  /// What undo() needs to rewind one firing: the fired process's encode()
+  /// words at arena_[record..), the two link positions and the hash terms
+  /// of the three components the firing could change.
+  struct Undo {
+    ProcessId pid;
+    std::size_t record;
+    std::size_t in_head;
+    std::size_t out_size;
+    std::uint64_t hash;
+    std::uint64_t proc_term;
+    std::uint64_t in_term;
+    std::uint64_t out_term;
+  };
 
   void fail(const std::string& what) {
     report_.ok = false;
     if (report_.violations.size() < 16) report_.violations.push_back(what);
   }
 
+  [[nodiscard]] std::size_t in_link(ProcessId pid) const {
+    return pid == 0 ? links_.size() - 1 : pid - 1;
+  }
+
+  /// Hash-component index of link p_i -> p_{i+1}; processes take 0..n-1.
+  [[nodiscard]] std::size_t link_component(std::size_t link) const {
+    return procs_.size() + link;
+  }
+
   [[nodiscard]] const Message* head_of(ProcessId pid) const {
-    const CheckLink& link = links_[pid == 0 ? links_.size() - 1 : pid - 1];
+    const CheckLink& link = links_[in_link(pid)];
     return link.empty() ? nullptr : &link.front();
   }
 
@@ -111,57 +142,87 @@ class Checker {
     return !p.halted() && p.enabled(head_of(pid));
   }
 
-  /// Appends the working configuration's snapshot to the arena: per
-  /// process the encode() words plus a separator (a parse-time integrity
-  /// check), per link its in-flight count followed by (kind, label) pairs.
-  void encode_snapshot() {
-    for (const auto& p : procs_) {
-      p->encode(arena_);
-      arena_.push_back(kSeparator);
-    }
-    for (const CheckLink& link : links_) {
-      arena_.push_back(link.size());
-      for (std::size_t i = link.head; i < link.queue.size(); ++i) {
-        arena_.push_back(static_cast<std::uint64_t>(link.queue[i].kind));
-        arena_.push_back(link.queue[i].label.value());
-      }
-    }
+  /// Hash of a process's encode() words, encoded briefly on the arena top.
+  [[nodiscard]] std::uint64_t hash_process(ProcessId pid) {
+    const std::size_t top = arena_.size();
+    procs_[pid]->encode(arena_);
+    WordHash hash;
+    for (std::size_t i = top; i < arena_.size(); ++i) hash.absorb(arena_[i]);
+    arena_.resize(top);
+    return hash.state;
   }
 
-  /// Rewinds the working configuration to the snapshot at arena offset
-  /// `base`, reusing every buffer.
-  void restore_snapshot(std::size_t base) {
-    const std::uint64_t* it = arena_.data() + base;
+  /// Hash of a link's in-flight count followed by its (kind, label) pairs.
+  [[nodiscard]] static std::uint64_t hash_link(const CheckLink& link) {
+    WordHash hash;
+    hash.absorb(link.size());
+    for (std::size_t i = link.head; i < link.queue.size(); ++i) {
+      hash.absorb(static_cast<std::uint64_t>(link.queue[i].kind));
+      hash.absorb(link.queue[i].label.value());
+    }
+    return hash.state;
+  }
+
+  /// The configuration hash is Σ mix(component, component hash) mod 2^64,
+  /// so replacing one component's term updates it in O(1).
+  void set_term(std::size_t component, std::uint64_t component_hash) {
+    std::uint64_t mixed =
+        component_hash ^ (component * 0xD1B54A32D192ED03ULL);
+    const std::uint64_t term = support::splitmix64(mixed);
+    hash_ += term - terms_[component];
+    terms_[component] = term;
+  }
+
+  /// Fires `pid` in the working configuration, pushing its pre-firing
+  /// encoding as the undo record, and re-hashes the components it changed:
+  /// the process, its in-link (if it consumed) and its out-link (if it
+  /// sent).
+  Undo fire(ProcessId pid) {
+    const std::size_t in = in_link(pid);
+    CheckLink& inbox = links_[in];
+    CheckLink& outbox = links_[pid];
+    const Undo step{pid,
+                    arena_.size(),
+                    inbox.head,
+                    outbox.queue.size(),
+                    hash_,
+                    terms_[pid],
+                    terms_[link_component(in)],
+                    terms_[link_component(pid)]};
+    procs_[pid]->encode(arena_);
+    {
+      CheckContext ctx(links_, pid);
+      procs_[pid]->fire(head_of(pid), ctx);
+    }
+    set_term(pid, hash_process(pid));
+    if (inbox.head != step.in_head) {
+      set_term(link_component(in), hash_link(inbox));
+    }
+    if (outbox.queue.size() != step.out_size) {
+      set_term(link_component(pid), hash_link(outbox));
+    }
+    return step;
+  }
+
+  /// Rewinds fire(): the working configuration and its hash are exactly
+  /// as fire() found them.
+  void undo(const Undo& step) {
+    const std::uint64_t* it = arena_.data() + step.record;
     const std::uint64_t* const end = arena_.data() + arena_.size();
-    for (const auto& p : procs_) {
-      const bool restored = p->decode(it, end);
-      // The factory's processes must support restoration (A_k, B_k and
-      // the identified-ring baselines implement decode()).
-      HRING_EXPECTS(restored);
-      HRING_EXPECTS(it != end && *it == kSeparator);
-      ++it;
-    }
-    for (CheckLink& link : links_) {
-      HRING_EXPECTS(it != end);
-      const std::uint64_t count = *it++;
-      HRING_EXPECTS(static_cast<std::uint64_t>(end - it) >= 2 * count);
-      link.clear();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const auto kind = static_cast<sim::MsgKind>(*it++);
-        const Label label(static_cast<Label::rep_type>(*it++));
-        link.push_back(Message{kind, label});
-      }
-    }
-  }
-
-  /// splitmix64 chain over the snapshot words starting at `base`.
-  [[nodiscard]] std::uint64_t hash_from(std::size_t base) const {
-    std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-    for (std::size_t i = base; i < arena_.size(); ++i) {
-      std::uint64_t mixed = state ^ arena_[i];
-      state = support::splitmix64(mixed);
-    }
-    return state;
+    const bool restored = procs_[step.pid]->decode(it, end);
+    // The factory's processes must support restoration (A_k, B_k and
+    // the identified-ring baselines implement decode()), and decode()
+    // must consume exactly the words encode() wrote.
+    HRING_EXPECTS(restored);
+    HRING_EXPECTS(it == end);
+    arena_.resize(step.record);
+    const std::size_t in = in_link(step.pid);
+    links_[in].head = step.in_head;
+    links_[step.pid].queue.resize(step.out_size);
+    hash_ = step.hash;
+    terms_[step.pid] = step.proc_term;
+    terms_[link_component(in)] = step.in_term;
+    terms_[link_component(step.pid)] = step.out_term;
   }
 
   /// §II's per-configuration clauses on the working configuration.
@@ -205,12 +266,10 @@ class Checker {
     }
   }
 
-  /// Invariants at entry: the working configuration holds the node, whose
-  /// snapshot occupies arena_[base..end) and is already in visited_. On
-  /// return the arena is truncated back to its entry size; the working
-  /// configuration is left at an arbitrary descendant (callers rewind
-  /// before using it).
-  void explore(std::size_t depth, std::size_t base) {
+  /// Invariants at entry: the working configuration holds the node, and
+  /// hash_ (already in visited_) is its hash. On return the working
+  /// configuration, hash_ and the arena are exactly as at entry.
+  void explore(std::size_t depth) {
     report_.max_depth = std::max(report_.max_depth, depth);
     if (budget_exhausted_) return;
 
@@ -229,19 +288,11 @@ class Checker {
         budget_exhausted_ = true;
         return;
       }
-      restore_snapshot(base);
       const sim::SpecState before = sim::SpecState::of(*procs_[pid]);
-      {
-        CheckContext ctx(links_, pid);
-        const Message* head = head_of(pid);
-        procs_[pid]->fire(head, ctx);
-      }
+      const Undo step = fire(pid);
       ++report_.transitions;
-      const std::size_t child_base = arena_.size();
-      encode_snapshot();
-      const std::uint64_t h = hash_from(child_base);
-      if (!visited_.insert(h).second) {  // configuration seen
-        arena_.resize(child_base);
+      if (!visited_.insert(hash_).second) {  // configuration seen
+        undo(step);
         continue;
       }
       ++report_.configurations;
@@ -252,8 +303,8 @@ class Checker {
       };
       sim::check_transition(before, *procs_[pid], report);
       check_configuration(report);
-      explore(depth + 1, child_base);
-      arena_.resize(child_base);
+      explore(depth + 1);
+      undo(step);
     }
   }
 
@@ -261,9 +312,13 @@ class Checker {
   ModelCheckConfig config_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::vector<CheckLink> links_;
-  /// LIFO snapshot arena: one snapshot per node on the current DFS path,
-  /// appended on descent and truncated on backtrack.
+  /// LIFO undo arena: the fired process's encode() words, one record per
+  /// DFS level, appended on descent and popped on backtrack.
   std::vector<std::uint64_t> arena_;
+  /// Current hash term per component (processes, then links) and their
+  /// sum, the working configuration's hash.
+  std::vector<std::uint64_t> terms_;
+  std::uint64_t hash_ = 0;
   std::optional<ring::ProcessIndex> expected_leader_;
   std::unordered_set<std::uint64_t> visited_;
   ModelCheckReport report_;

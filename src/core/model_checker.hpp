@@ -24,12 +24,28 @@
 // the search anyway and the report says whether it was exhaustive.
 //
 // The search works on ONE working configuration (processes built once from
-// the factory, flat message queues) that is rewound between transitions
-// from encode()-word snapshots kept in a LIFO arena — one contiguous
-// std::uint64_t vector that grows on descent and truncates on backtrack.
-// No process is ever cloned and steady-state exploration performs no
-// allocation; algorithms opt into checking by implementing
-// Process::decode (A_k, B_k and the three identified-ring baselines do).
+// the factory, flat message queues) and undoes each transition instead of
+// copying configurations. A §II firing changes one process, pops at most
+// its in-link head and appends only to its out-link, so before a firing
+// the checker records the process's encode() words in a LIFO arena (one
+// record per level of the DFS path), its in-link's head index and its
+// out-link's length. After the firing's subtree it decodes the process
+// from that record and resets the two links; every explore() call leaves
+// the working configuration exactly as it found it. decode() must consume
+// exactly the words encode() wrote. No process is ever cloned and
+// steady-state exploration performs no allocation; algorithms opt into
+// checking by implementing Process::decode (A_k, B_k and the three
+// identified-ring baselines do).
+//
+// The configuration hash is a sum of per-component terms,
+// Σ mix(component, component hash) mod 2^64, over the n processes (their
+// encode() words) and the n links (in-flight count, then each message's
+// kind and label). A firing re-hashes only the process and the links it
+// touched. The visited set holds these 64-bit hashes, not configurations
+// (hash compaction): two distinct configurations with equal hashes would
+// merge silently and one subtree would go unexplored. At the default
+// budget of 10^6 configurations the chance of any collision is below
+// about 3·10^-8 (birthday bound, m²/2^65).
 #pragma once
 
 #include <cstdint>

@@ -97,6 +97,9 @@ struct WorkerLocal {
   std::vector<Message> received;
   std::size_t peak_space_bits = 0;
   std::uint64_t fired = 0;
+  /// monotonic_ns() as the worker leaves its loop; the latest one ends
+  /// the election's elapsed time.
+  std::uint64_t exit_ns = 0;
 };
 
 /// Context for one firing on an in-host worker: consume pops the peeked
@@ -249,6 +252,7 @@ void worker_loop(Shared& shared, WorkerLocal& local, ProcessId pid,
       beat_recorded = false;  // next idle spell logs a fresh beat
     }
   }
+  local.exit_ns = monotonic_ns();
   rec(flight, FlightEventKind::kExit, 0);
   shared.workers_alive.fetch_sub(1, std::memory_order_acq_rel);
 }
@@ -376,7 +380,12 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
     }
   }
   for (auto& worker : workers) worker.join();
-  const std::uint64_t finished_ns = monotonic_ns();
+  // The election ends at the last worker's exit, not when the watchdog's
+  // tick noticed it.
+  std::uint64_t finished_ns = started_ns;
+  for (const WorkerLocal& local : locals) {
+    finished_ns = std::max(finished_ns, local.exit_ns);
+  }
 
   InHostResult result;
   // Workers have joined: final values, relaxed suffices.
@@ -386,8 +395,7 @@ InHostResult run_inhost(const ring::LabeledRing& ring,
       shared.received.load(std::memory_order_relaxed);
   result.sends_abandoned = shared.abandoned.load(std::memory_order_relaxed);
   result.wire_rejects = shared.links.total_rejects();
-  result.elapsed_ns =
-      finished_ns >= started_ns ? finished_ns - started_ns : 0;
+  result.elapsed_ns = finished_ns - started_ns;
 
   bool clean = true;
   for (ProcessId pid = 0; pid < n; ++pid) {

@@ -3,6 +3,9 @@
 // statement the repository makes about the algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+
 #include "core/model_checker.hpp"
 #include "ring/classes.hpp"
 #include "ring/fooling.hpp"
@@ -116,16 +119,68 @@ TEST(ModelCheckerTest, BaselinesOnDistinctRingsAllSchedules) {
   }
 }
 
-TEST(ModelCheckerTest, SnapshotRestorationIsExact) {
-  // Decode-based rewind must reproduce configurations exactly: a second
-  // independent run over the same space visits the same counts.
-  const auto ring = ring::LabeledRing::from_values({1, 2, 2});
-  const auto a = check_all_schedules(ring, {AlgorithmId::kAk, 2, false});
-  const auto b = check_all_schedules(ring, {AlgorithmId::kAk, 2, false});
-  EXPECT_EQ(a.configurations, b.configurations);
-  EXPECT_EQ(a.transitions, b.transitions);
-  EXPECT_EQ(a.terminal_configurations, b.terminal_configurations);
-  EXPECT_EQ(a.max_depth, b.max_depth);
+/// Summed search counts over one family of canonical asymmetric rings.
+struct FamilyCounts {
+  std::size_t rings = 0;
+  std::uint64_t configurations = 0;
+  std::uint64_t transitions = 0;
+  std::uint64_t terminal = 0;
+  std::size_t max_depth = 0;
+
+  bool operator==(const FamilyCounts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const FamilyCounts& c) {
+  return os << c.rings << " rings / " << c.configurations << " configs / "
+            << c.transitions << " transitions / " << c.terminal
+            << " terminal / depth " << c.max_depth;
+}
+
+TEST(ModelCheckerTest, GoldenCountsOnCanonicalAsymmetricRings) {
+  // Every canonical asymmetric ring of each family, A_k and B_k with k =
+  // the ring's multiplicity. A rewind that leaves any trace in the working
+  // configuration or its hash changes these sums. The E13 families
+  // (n2..n4) total 18,348 A_k and 7,825 B_k configurations; n5/a3 totals
+  // 97,476, perfbench's core.mc_configs.
+  struct Golden {
+    std::size_t n;
+    std::size_t alphabet;
+    FamilyCounts ak;
+    FamilyCounts bk;
+  };
+  const Golden goldens[] = {
+      {2, 2, {1, 20, 25, 1, 13}, {1, 16, 17, 1, 13}},
+      {3, 2, {2, 178, 312, 2, 30}, {2, 136, 174, 2, 63}},
+      {3, 3, {8, 702, 1230, 8, 30}, {8, 489, 631, 8, 63}},
+      {4, 2, {3, 1103, 2486, 3, 50}, {3, 623, 992, 3, 206}},
+      {4, 3, {18, 6793, 15316, 18, 54}, {18, 3242, 5085, 18, 206}},
+      {5, 2, {6, 9552, 26330, 6, 80}, {6, 3319, 6766, 6, 520}},
+      {5, 3, {48, 75912, 209240, 48, 80}, {48, 21564, 43018, 48, 520}},
+      {6, 2, {9, 59160, 192726, 9, 111}, {9, 14250, 36695, 9, 1107}},
+  };
+  for (const Golden& golden : goldens) {
+    const auto rings = ring::enumerate_rings(golden.n, golden.alphabet,
+                                             /*asymmetric_only=*/true,
+                                             /*canonical_only=*/true);
+    for (const auto algo : {AlgorithmId::kAk, AlgorithmId::kBk}) {
+      FamilyCounts counts;
+      for (const auto& r : rings) {
+        const auto report =
+            check_all_schedules(r, {algo, r.max_multiplicity(), false});
+        EXPECT_TRUE(report.complete && report.ok)
+            << election::algorithm_name(algo) << " on " << r.to_string()
+            << ": " << report.to_string();
+        ++counts.rings;
+        counts.configurations += report.configurations;
+        counts.transitions += report.transitions;
+        counts.terminal += report.terminal_configurations;
+        counts.max_depth = std::max(counts.max_depth, report.max_depth);
+      }
+      EXPECT_EQ(counts, algo == AlgorithmId::kAk ? golden.ak : golden.bk)
+          << election::algorithm_name(algo) << " n" << golden.n << "/a"
+          << golden.alphabet;
+    }
+  }
 }
 
 TEST(ModelCheckerTest, BudgetExhaustionIsReportedHonestly) {

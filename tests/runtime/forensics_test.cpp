@@ -282,6 +282,39 @@ TEST(ForensicsTest, CompletedRunProducesReport) {
   EXPECT_EQ(report.counters.messages_sent, result.messages_sent);
 }
 
+TEST(ForensicsTest, ElapsedEndsAtLastWorkerExit) {
+  // elapsed_ns starts after the start latch opens, which is after every
+  // join, and ends at the last worker's exit. It therefore fits inside the
+  // recorded span from the last join to the last exit: a watchdog tick
+  // counted into it would overshoot that span.
+  const auto ring = ring::LabeledRing::from_values({1, 2, 1, 3});
+  InHostConfig config;
+  config.flight_recorder = true;
+  for (int run = 0; run < 5; ++run) {
+    const InHostResult result = run_inhost(
+        ring,
+        election::make_factory(AlgorithmConfig{AlgorithmId::kAk, 2, false}),
+        config);
+    ASSERT_EQ(result.outcome, sim::Outcome::kTerminated);
+    ASSERT_TRUE(result.forensics.has_value());
+    std::uint64_t last_join_ns = 0;
+    std::uint64_t last_exit_ns = 0;
+    for (const ForensicThread& thread : result.forensics->threads) {
+      for (const FlightEvent& event : thread.events) {
+        if (event.kind == FlightEventKind::kJoin) {
+          last_join_ns = std::max(last_join_ns, event.ts_ns);
+        } else if (event.kind == FlightEventKind::kExit) {
+          last_exit_ns = std::max(last_exit_ns, event.ts_ns);
+        }
+      }
+    }
+    ASSERT_GT(last_join_ns, 0u) << "run " << run;
+    ASSERT_GE(last_exit_ns, last_join_ns) << "run " << run;
+    EXPECT_LE(result.elapsed_ns, last_exit_ns - last_join_ns)
+        << "run " << run;
+  }
+}
+
 /// Wedges `wedged_pid` after the election starts: the hook spins (with a
 /// sleep) until shutdown, never beating, never firing — the "thread
 /// stopped making progress outside park/exit" picture the forensics must

@@ -976,13 +976,16 @@ void check_lost_wakeup(const Model& model, std::vector<Diagnostic>& diags) {
 
 namespace {
 
-/// Blocking sinks by name: scheduler handoffs and parking syscalls.
+/// Blocking sinks by name: scheduler handoffs, parking syscalls and the
+/// C++20 waits (std::latch, std::counting_semaphore, std::thread::join).
 [[nodiscard]] bool is_blocking_sink(std::string_view name) {
   static const std::set<std::string_view> kSinks = {
-      "sleep_for", "sleep_until", "yield",      "usleep",
-      "nanosleep", "sleep",       "futex",      "syscall",
-      "poll",      "select",      "epoll_wait", "ppoll",
-      "pselect",   "wait",        "wait_for",   "wait_until"};
+      "sleep_for",       "sleep_until",     "yield",      "usleep",
+      "nanosleep",       "sleep",           "futex",      "syscall",
+      "poll",            "select",          "epoll_wait", "ppoll",
+      "pselect",         "wait",            "wait_for",   "wait_until",
+      "arrive_and_wait", "acquire",         "join",       "try_acquire_for",
+      "try_acquire_until"};
   return kSinks.count(name) > 0;
 }
 
