@@ -727,7 +727,7 @@ int main(int argc, char** argv) {
     // true leader; only A_k/B_k are held to it.
     const bool paper_algo = *algo == election::AlgorithmId::kAk ||
                             *algo == election::AlgorithmId::kBk;
-    check_config.check_true_leader = report.asymmetric && paper_algo;
+    check_config.check_true_leader = paper_algo;
     const auto check = core::check_all_schedules(
         *ring, {*algo, k, false}, check_config);
     std::cout << "model check: " << check.to_string() << "\n";

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <unordered_set>
+#include <utility>
 
 #include "sim/invariants.hpp"
 #include "sim/process.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "words/lyndon.hpp"
 
 namespace hring::core {
 namespace {
@@ -31,14 +32,57 @@ struct CheckLink {
   void push_back(const Message& msg) { queue.push_back(msg); }
 };
 
-/// splitmix64 chain over a component's words.
-struct WordHash {
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+/// Visited set of 64-bit configuration hashes: open addressing with linear
+/// probing, power-of-two capacity, load at most 1/2. 0 marks an empty slot,
+/// so a hash of 0 is kept in a flag of its own.
+class HashSet {
+ public:
+  HashSet() : slots_(kInitialCapacity, 0) {}
 
-  void absorb(std::uint64_t word) {
-    std::uint64_t mixed = state ^ word;
-    state = support::splitmix64(mixed);
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// Adds `hash`; false when it was already present.
+  // hring-lint: hot-path
+  bool insert(std::uint64_t hash) {
+    if (hash == 0) {
+      if (has_zero_) return false;
+      has_zero_ = true;
+      ++size_;
+      return true;
+    }
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    // The load bound is what ends slot_of's probe: a free slot exists.
+    HRING_ASSERT(2 * (size_ + 1) <= slots_.size());
+    std::uint64_t& slot = slot_of(hash);
+    if (slot == hash) return false;
+    slot = hash;
+    ++size_;
+    return true;
   }
+
+ private:
+  static constexpr std::size_t kInitialCapacity = 1024;
+
+  /// The slot holding `hash`, or else the free slot where it belongs.
+  std::uint64_t& slot_of(std::uint64_t hash) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash & mask;
+    while (slots_[i] != 0 && slots_[i] != hash) i = (i + 1) & mask;
+    return slots_[i];
+  }
+
+  /// Doubles the capacity and re-places every stored hash.
+  void grow() {
+    const std::vector<std::uint64_t> old = std::exchange(
+        slots_, std::vector<std::uint64_t>(2 * slots_.size(), 0));
+    for (const std::uint64_t hash : old) {
+      if (hash != 0) slot_of(hash) = hash;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t size_ = 0;  // stored hashes, the flagged 0 included
+  bool has_zero_ = false;
 };
 
 /// Context for one firing inside the working configuration.
@@ -81,7 +125,10 @@ class Checker {
       procs_.push_back(factory(pid, ring.label(pid)));
     }
     terms_.resize(2 * ring.size());
-    if (config_.check_true_leader) {
+    // A ring with rotational symmetry has no true leader; only that clause
+    // is dropped there.
+    if (config_.check_true_leader &&
+        !words::has_rotational_symmetry(ring.labels())) {
       expected_leader_ = ring.true_leader();
     }
   }
@@ -98,7 +145,7 @@ class Checker {
     }
     visited_.insert(hash_);
     report_.configurations = 1;
-    explore(/*depth=*/0);
+    explore(/*depth=*/0, scan_enabled());
     report_.complete = !budget_exhausted_;
     return report_;
   }
@@ -142,25 +189,64 @@ class Checker {
     return !p.halted() && p.enabled(head_of(pid));
   }
 
-  /// Hash of a process's encode() words, encoded briefly on the arena top.
+  [[nodiscard]] static std::uint64_t bit(ProcessId pid) {
+    return std::uint64_t{1} << pid;
+  }
+
+  /// Enabled set of the working configuration, every guard evaluated.
+  [[nodiscard]] std::uint64_t scan_enabled() const {
+    std::uint64_t mask = 0;
+    for (ProcessId pid = 0; pid < procs_.size(); ++pid) {
+      if (enabled(pid)) mask |= bit(pid);
+    }
+    return mask;
+  }
+
+  /// Enabled set after firing `pid` in a configuration whose set was
+  /// `mask`: only pid and its successor are re-evaluated. That is exact
+  /// under §II, as for BatchRunner's incremental set
+  /// (core/batch_engine.hpp): a guard reads its own process and its
+  /// in-link head, and a firing changes only its own process, pops only its
+  /// in-link and appends only to its out-link, the successor's in-link.
+  [[nodiscard]] std::uint64_t refresh(std::uint64_t mask,
+                                      ProcessId pid) const {
+    const ProcessId next = pid + 1 == procs_.size() ? 0 : pid + 1;
+    mask &= ~(bit(pid) | bit(next));
+    if (enabled(pid)) mask |= bit(pid);
+    if (enabled(next)) mask |= bit(next);
+    return mask;
+  }
+
+  /// Hashes the words pushed on the arena since `top`, then pops them: their
+  /// count plus Σ splitmix64(word_i ^ i·c) mod 2^64. No term waits on
+  /// another, so the multiplies of consecutive words overlap.
+  [[nodiscard]] std::uint64_t hash_and_pop(std::size_t top) {
+    constexpr std::uint64_t kPositionMix = 0xC2B2AE3D27D4EB4FULL;  // c
+    std::uint64_t hash = arena_.size() - top;
+    for (std::size_t i = top; i < arena_.size(); ++i) {
+      std::uint64_t mixed = arena_[i] ^ ((i - top) * kPositionMix);
+      hash += support::splitmix64(mixed);
+    }
+    arena_.resize(top);
+    return hash;
+  }
+
+  /// Hash of a process's encode() words.
   [[nodiscard]] std::uint64_t hash_process(ProcessId pid) {
     const std::size_t top = arena_.size();
     procs_[pid]->encode(arena_);
-    WordHash hash;
-    for (std::size_t i = top; i < arena_.size(); ++i) hash.absorb(arena_[i]);
-    arena_.resize(top);
-    return hash.state;
+    return hash_and_pop(top);
   }
 
   /// Hash of a link's in-flight count followed by its (kind, label) pairs.
-  [[nodiscard]] static std::uint64_t hash_link(const CheckLink& link) {
-    WordHash hash;
-    hash.absorb(link.size());
+  [[nodiscard]] std::uint64_t hash_link(const CheckLink& link) {
+    const std::size_t top = arena_.size();
+    arena_.push_back(link.size());
     for (std::size_t i = link.head; i < link.queue.size(); ++i) {
-      hash.absorb(static_cast<std::uint64_t>(link.queue[i].kind));
-      hash.absorb(link.queue[i].label.value());
+      arena_.push_back(static_cast<std::uint64_t>(link.queue[i].kind));
+      arena_.push_back(link.queue[i].label.value());
     }
-    return hash.state;
+    return hash_and_pop(top);
   }
 
   /// The configuration hash is Σ mix(component, component hash) mod 2^64,
@@ -177,6 +263,7 @@ class Checker {
   /// encoding as the undo record, and re-hashes the components it changed:
   /// the process, its in-link (if it consumed) and its out-link (if it
   /// sent).
+  // hring-lint: hot-path
   Undo fire(ProcessId pid) {
     const std::size_t in = in_link(pid);
     CheckLink& inbox = links_[in];
@@ -206,6 +293,7 @@ class Checker {
 
   /// Rewinds fire(): the working configuration and its hash are exactly
   /// as fire() found them.
+  // hring-lint: hot-path
   void undo(const Undo& step) {
     const std::uint64_t* it = arena_.data() + step.record;
     const std::uint64_t* const end = arena_.data() + arena_.size();
@@ -266,24 +354,24 @@ class Checker {
     }
   }
 
-  /// Invariants at entry: the working configuration holds the node, and
-  /// hash_ (already in visited_) is its hash. On return the working
-  /// configuration, hash_ and the arena are exactly as at entry.
-  void explore(std::size_t depth) {
+  /// Invariants at entry: the working configuration holds the node, hash_
+  /// (already in visited_) is its hash and `enabled_mask` its enabled set.
+  /// On return the working configuration, hash_ and the arena are exactly
+  /// as at entry.
+  void explore(std::size_t depth, std::uint64_t enabled_mask) {
     report_.max_depth = std::max(report_.max_depth, depth);
     if (budget_exhausted_) return;
 
-    std::uint64_t enabled_mask = 0;
-    for (ProcessId pid = 0; pid < procs_.size(); ++pid) {
-      if (enabled(pid)) enabled_mask |= std::uint64_t{1} << pid;
-    }
     if (enabled_mask == 0) {
+      // One full scan confirms the incremental set, so a bookkeeping slip
+      // aborts instead of filing a live configuration as terminal.
+      HRING_ASSERT(scan_enabled() == 0);
       check_terminal();
       return;
     }
 
     for (ProcessId pid = 0; pid < procs_.size(); ++pid) {
-      if ((enabled_mask & (std::uint64_t{1} << pid)) == 0) continue;
+      if ((enabled_mask & bit(pid)) == 0) continue;
       if (visited_.size() >= config_.max_configurations) {
         budget_exhausted_ = true;
         return;
@@ -291,7 +379,7 @@ class Checker {
       const sim::SpecState before = sim::SpecState::of(*procs_[pid]);
       const Undo step = fire(pid);
       ++report_.transitions;
-      if (!visited_.insert(hash_).second) {  // configuration seen
+      if (!visited_.insert(hash_)) {  // configuration seen
         undo(step);
         continue;
       }
@@ -303,7 +391,7 @@ class Checker {
       };
       sim::check_transition(before, *procs_[pid], report);
       check_configuration(report);
-      explore(depth + 1);
+      explore(depth + 1, refresh(enabled_mask, pid));
       undo(step);
     }
   }
@@ -320,7 +408,7 @@ class Checker {
   std::vector<std::uint64_t> terms_;
   std::uint64_t hash_ = 0;
   std::optional<ring::ProcessIndex> expected_leader_;
-  std::unordered_set<std::uint64_t> visited_;
+  HashSet visited_;
   ModelCheckReport report_;
   bool budget_exhausted_ = false;
 };

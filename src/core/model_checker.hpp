@@ -10,7 +10,8 @@
 //   * isLeader and done never revert, halting implies done (bullets 1/3/4);
 //   * done implies a current leader carries the believed label (bullet 3);
 //   * every terminal configuration is clean (all halted, links empty) and
-//     elects the true leader with global agreement (bullet 2).
+//     elects one leader with global agreement, the true leader unless the
+//     ring has rotational symmetry and so has none (bullet 2).
 //
 // Single-firing interleavings suffice: a §II step executes a set of
 // enabled processes, but distinct processes touch disjoint state (a
@@ -32,20 +33,43 @@
 // out-link's length. After the firing's subtree it decodes the process
 // from that record and resets the two links; every explore() call leaves
 // the working configuration exactly as it found it. decode() must consume
-// exactly the words encode() wrote. No process is ever cloned and
-// steady-state exploration performs no allocation; algorithms opt into
-// checking by implementing Process::decode (A_k, B_k and the three
-// identified-ring baselines do).
+// exactly the words encode() wrote. Algorithms opt into checking by
+// implementing Process::decode (A_k, B_k and the three identified-ring
+// baselines do). A_k's decode truncates when the record's string is a
+// prefix of the string the process holds, which an undo always meets (the
+// firing appended at most one label): it drops the tail's labels from the
+// counts and cuts the string and its border array, instead of replaying
+// every label through the border update.
+//
+// The same locality keeps the enabled set incremental: each explore() call
+// receives its configuration's enabled set as a bitmask, and after firing
+// p only p and its successor are re-evaluated for the child (the argument
+// of BatchRunner's incremental set, core/batch_engine.hpp). Where the mask
+// is empty, one full scan asserts that nothing is enabled before the
+// terminal checks, so a bookkeeping slip aborts instead of filing a live
+// configuration as terminal.
 //
 // The configuration hash is a sum of per-component terms,
-// Σ mix(component, component hash) mod 2^64, over the n processes (their
-// encode() words) and the n links (in-flight count, then each message's
-// kind and label). A firing re-hashes only the process and the links it
-// touched. The visited set holds these 64-bit hashes, not configurations
-// (hash compaction): two distinct configurations with equal hashes would
-// merge silently and one subtree would go unexplored. At the default
-// budget of 10^6 configurations the chance of any collision is below
-// about 3·10^-8 (birthday bound, m²/2^65).
+// Σ mix(component, component hash) mod 2^64, over the n processes and the
+// n links. A component's hash is taken over its words (a process's
+// encode() words; a link's in-flight count, then each message's kind and
+// label) as their count plus Σ splitmix64(word_i ^ i·c) mod 2^64: no term
+// waits on another, so the multiplies overlap. A firing re-hashes only the
+// process and the links it touched.
+//
+// The visited set holds these 64-bit hashes, not configurations (hash
+// compaction), in an open-addressing table: linear probing, power-of-two
+// capacity, load at most 1/2. An empty slot holds 0, so a hash of 0 is
+// kept in a separate flag and stays exact. Two distinct configurations
+// with equal hashes would merge silently and one subtree would go
+// unexplored. At the default budget of 10^6 configurations the chance of
+// any collision is below about 3·10^-8 (birthday bound, m²/2^65).
+//
+// No process is cloned, and exploration allocates only when a buffer
+// grows: the arena, a link's queue, a process's own buffers (A_k's
+// string), or the visited set doubling its table. Each grows
+// geometrically and keeps its capacity, so the steady state allocates
+// nothing, up to that amortized growth.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +84,9 @@ namespace hring::core {
 struct ModelCheckConfig {
   /// Bound on distinct configurations visited before giving up.
   std::uint64_t max_configurations = 1'000'000;
-  /// Require terminal configurations to elect ring.true_leader().
+  /// Require terminal configurations to elect ring.true_leader(). A ring
+  /// with rotational symmetry has no true leader, so there this clause is
+  /// skipped and every other one still applies.
   bool check_true_leader = true;
 };
 

@@ -1,5 +1,6 @@
 #include "election/ak.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -133,6 +134,7 @@ void AkProcess::encode(std::vector<std::uint64_t>& out) const {
   // encode them separately.
 }
 
+// hring-lint: hot-path
 bool AkProcess::decode(const std::uint64_t*& it, const std::uint64_t* end) {
   if (!decode_spec_vars(it, end)) return false;
   if (end - it < 2) return false;
@@ -141,8 +143,30 @@ bool AkProcess::decode(const std::uint64_t*& it, const std::uint64_t* end) {
   init_ = (init_word != 0);
   const std::uint64_t length = *it++;
   if (static_cast<std::uint64_t>(end - it) < length) return false;
-  // Rebuild the string and its derived accelerators (borders, counts) from
-  // the encoded labels; every buffer keeps its capacity across restores.
+  const words::LabelSequence& current = string_.sequence();
+  const auto same_label = [](std::uint64_t word, Label l) {
+    return word == l.value();
+  };
+  if (length <= current.size() &&
+      std::equal(it, it + length, current.begin(), same_label)) {
+    // The encoded string is a prefix of the current one (always so for the
+    // model checker's undo, whose firing appended at most one label): drop
+    // the tail's labels from the counts and truncate the string with its
+    // border array.
+    for (std::size_t i = length; i < current.size(); ++i) {
+      --count_slot(current[i].value());
+    }
+    string_.truncate(length);
+    max_count_ = 0;
+    for (const auto& entry : counts_) {
+      max_count_ = std::max(max_count_, entry.second);
+    }
+    it += length;
+    return true;
+  }
+  // Otherwise rebuild the string and its derived accelerators (borders,
+  // counts) from the encoded labels; every buffer keeps its capacity
+  // across restores.
   string_.clear();
   counts_.clear();
   max_count_ = 0;

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "support/assert.hpp"
 #include "words/label.hpp"
 
 namespace hring::words {
@@ -52,6 +53,16 @@ class IncrementalPeriod {
   void clear() {
     seq_.clear();
     border_.clear();
+  }
+
+  /// Rewinds to the length-`len` prefix, keeping both buffers' capacity.
+  /// A prefix's border array is the prefix of the border array, so this
+  /// is O(1) (AkProcess::decode undoes appended labels with it). Requires
+  /// len <= size().
+  void truncate(std::size_t len) {
+    HRING_EXPECTS(len <= seq_.size());
+    seq_.resize(len);
+    border_.resize(len);
   }
 
   [[nodiscard]] std::size_t size() const { return seq_.size(); }

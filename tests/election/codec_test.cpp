@@ -11,7 +11,11 @@
 // the one failure mode the round-trip test can never see.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/election_driver.hpp"
@@ -197,6 +201,140 @@ TEST_P(CodecTest, DetectsRotatedFieldStreams) {
     EXPECT_NE(reencoded, mutated)
         << "a rotated stream was accepted as a canonical snapshot, pid "
         << snap.pid;
+  }
+}
+
+// --- A_k: decode into a process that already holds a state ---------------
+
+/// Serves one given head message to a firing and records what it sends.
+class ScriptContext final : public sim::Context {
+ public:
+  explicit ScriptContext(const sim::Message* head) : head_(head) {}
+
+  sim::Message consume() override {
+    consumed_ = true;
+    return *head_;
+  }
+  void send(const sim::Message& msg) override { sent_.push_back(msg); }
+  void note_action(std::string_view /*name*/) override {}
+
+  [[nodiscard]] bool consumed() const { return consumed_; }
+  [[nodiscard]] const std::vector<sim::Message>& sent() const { return sent_; }
+
+ private:
+  const sim::Message* head_;
+  bool consumed_ = false;
+  std::vector<sim::Message> sent_;
+};
+
+/// One firing: the head it consumed (A1 consumes none), what it sent and
+/// the process's encoding afterwards.
+struct Firing {
+  std::optional<sim::Message> consumed;
+  std::vector<sim::Message> sent;
+  std::vector<std::uint64_t> after;
+};
+
+/// Records every firing of a run, per process in order: every state a
+/// process passes through, as the model checker's undo records see them.
+class FiringRecorder : public sim::Observer {
+ public:
+  explicit FiringRecorder(std::size_t n) : firings_(n) {}
+
+  void on_action(const sim::ExecutionView& view,
+                 const sim::ActionEvent& event) override {
+    Firing firing{event.consumed, event.sent, {}};
+    view.process(event.pid).encode(firing.after);
+    firings_[event.pid].push_back(std::move(firing));
+  }
+
+  [[nodiscard]] const std::vector<std::vector<Firing>>& firings() const {
+    return firings_;
+  }
+
+ private:
+  std::vector<std::vector<Firing>> firings_;
+};
+
+/// decode() of all of `words`, which must consume exactly them.
+bool decode_exactly(sim::Process& proc,
+                    const std::vector<std::uint64_t>& words) {
+  const std::uint64_t* it = words.data();
+  const std::uint64_t* const end = words.data() + words.size();
+  return proc.decode(it, end) && it == end;
+}
+
+std::vector<std::uint64_t> encoded(const sim::Process& proc) {
+  std::vector<std::uint64_t> words;
+  proc.encode(words);
+  return words;
+}
+
+TEST(AkCodecTest, DecodeIntoAHeldStateBehavesAsIntoAFreshProcess) {
+  // AkProcess::decode truncates when the encoded string is a prefix of
+  // the string it holds (the model checker's undo) and rebuilds otherwise.
+  // Its label counts and max count are not in encode(), so only behaviour
+  // shows them: whatever the process held before, decoding a recorded
+  // state must re-encode to it and then replay the recorded continuation
+  // firing for firing.
+  support::Rng rng(0xDEC0DE);
+  const std::vector<ring::LabeledRing> rings = {
+      ring::LabeledRing::from_values({1, 2, 2}),
+      ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2}),
+      *ring::random_asymmetric_ring(6, 2, 3, rng),
+  };
+  for (const auto& ring : rings) {
+    const AlgorithmConfig algorithm{AlgorithmId::kAk, ring.max_multiplicity(),
+                                    false};
+    const auto factory = make_factory(algorithm);
+    sim::SynchronousScheduler scheduler;
+    sim::StepEngine engine(ring, factory, scheduler);
+    FiringRecorder recorder(ring.size());
+    engine.add_observer(&recorder);
+    ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
+    const auto& firings = recorder.firings();
+    const std::size_t n = ring.size();
+    for (sim::ProcessId p = 0; p < n; ++p) {
+      // A process with another label: its strings start with that label,
+      // so none of p's strings is a prefix of them (the rebuild path).
+      sim::ProcessId other = 0;
+      while (ring.label(other) == ring.label(p)) ++other;
+      const std::vector<Firing>& own = firings[p];
+      for (std::size_t j = 0; j < own.size(); ++j) {
+        // What the process holds before decoding state j: nothing (fresh),
+        // the state one firing later (an undo), its final state, and
+        // another pid's final state (the rebuild).
+        const std::vector<std::uint64_t>* held[] = {
+            nullptr,
+            &own[std::min(j + 1, own.size() - 1)].after,
+            &own.back().after,
+            &firings[other].back().after,
+        };
+        for (const auto* before : held) {
+          const auto proc = factory(p, ring.label(p));
+          if (before != nullptr) {
+            ASSERT_TRUE(decode_exactly(*proc, *before));
+          }
+          ASSERT_TRUE(decode_exactly(*proc, own[j].after));
+          ASSERT_EQ(encoded(*proc), own[j].after)
+              << ring.to_string() << " p" << p << " state " << j;
+          for (std::size_t t = j + 1; t < own.size(); ++t) {
+            ASSERT_TRUE(own[t].consumed.has_value());  // only A1 does not
+            const sim::Message& head = *own[t].consumed;
+            ASSERT_TRUE(proc->enabled(&head));
+            ScriptContext ctx(&head);
+            proc->fire(&head, ctx);
+            EXPECT_TRUE(ctx.consumed());
+            EXPECT_EQ(ctx.sent(), own[t].sent)
+                << ring.to_string() << " p" << p << " from state " << j
+                << ", firing " << t;
+            ASSERT_EQ(encoded(*proc), own[t].after)
+                << ring.to_string() << " p" << p << " from state " << j
+                << ", firing " << t;
+          }
+        }
+      }
+    }
   }
 }
 

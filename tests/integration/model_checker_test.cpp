@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
 
 #include "core/model_checker.hpp"
 #include "ring/classes.hpp"
@@ -75,6 +76,24 @@ TEST(ModelCheckerTest, FourProcessHomonymRing) {
   // reaches a clean single-leader terminal; both falsify correctness.
   EXPECT_FALSE(report.ok && report.terminal_configurations > 0 &&
                report.complete)
+      << report.to_string();
+}
+
+TEST(ModelCheckerTest, SymmetricRingUnderTheDefaultConfig) {
+  // A symmetric ring has no true leader. Under the default config the
+  // checker drops only that clause and still reports A_2's two leaders.
+  const auto ring = ring::LabeledRing::from_values({1, 2, 1, 2});
+  const auto report = check_all_schedules(ring, {AlgorithmId::kAk, 2, false});
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.configurations, 338u);
+  EXPECT_EQ(report.transitions, 766u);
+  EXPECT_EQ(report.terminal_configurations, 1u);
+  EXPECT_TRUE(std::any_of(report.violations.begin(), report.violations.end(),
+                          [](const std::string& v) {
+                            return v.find("2 simultaneous leaders") !=
+                                   std::string::npos;
+                          }))
       << report.to_string();
 }
 
@@ -180,6 +199,41 @@ TEST(ModelCheckerTest, GoldenCountsOnCanonicalAsymmetricRings) {
           << election::algorithm_name(algo) << " n" << golden.n << "/a"
           << golden.alphabet;
     }
+  }
+}
+
+TEST(ModelCheckerTest, GoldenCountsOfTheBaselinesAndOnASymmetricRing) {
+  // The enabled mask and the configuration hash serve every algorithm, so
+  // the identified-ring baselines' searches are pinned too, and so are
+  // both paper algorithms' on a symmetric ring, where they must fail.
+  const auto distinct = ring::LabeledRing::from_values({3, 1, 4, 2, 5});
+  const auto symmetric = ring::LabeledRing::from_values({1, 2, 1, 2});
+  struct Golden {
+    AlgorithmId algo;
+    std::size_t k;
+    const ring::LabeledRing& ring;
+    bool ok;
+    FamilyCounts counts;
+  };
+  const Golden goldens[] = {
+      {AlgorithmId::kChangRoberts, 1, distinct, true, {1, 187, 490, 1, 21}},
+      {AlgorithmId::kLeLann, 1, distinct, true, {1, 645, 1780, 1, 35}},
+      {AlgorithmId::kPeterson, 1, distinct, true, {1, 319, 830, 1, 35}},
+      {AlgorithmId::kAk, 2, symmetric, false, {1, 338, 766, 1, 42}},
+      {AlgorithmId::kBk, 2, symmetric, false, {1, 180, 322, 1, 58}},
+  };
+  for (const Golden& golden : goldens) {
+    const auto report = check_all_schedules(
+        golden.ring, {golden.algo, golden.k, false},
+        ModelCheckConfig{200'000, false});
+    EXPECT_TRUE(report.complete) << report.to_string();
+    EXPECT_EQ(report.ok, golden.ok) << report.to_string();
+    const FamilyCounts counts{1, report.configurations, report.transitions,
+                              report.terminal_configurations,
+                              report.max_depth};
+    EXPECT_EQ(counts, golden.counts)
+        << election::algorithm_name(golden.algo) << " on "
+        << golden.ring.to_string();
   }
 }
 

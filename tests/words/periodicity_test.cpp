@@ -121,7 +121,30 @@ TEST(IncrementalPeriodTest, TracksBatchComputation) {
   }
 }
 
+TEST(IncrementalPeriodTest, TruncateToEmptyThenRegrow) {
+  IncrementalPeriod inc;
+  for (const Label l : make_sequence({2, 1, 2, 1})) inc.push_back(l);
+  inc.truncate(0);
+  EXPECT_EQ(inc.size(), 0u);
+  EXPECT_EQ(inc.border(), 0u);
+  inc.push_back(Label(1));
+  EXPECT_EQ(inc.period(), 1u);
+}
+
 // -- properties over random sequences -------------------------------------
+
+/// Every query of `got` equals the same query of `want`.
+void expect_same_periods(const IncrementalPeriod& got,
+                         const IncrementalPeriod& want) {
+  ASSERT_EQ(got.sequence(), want.sequence());
+  EXPECT_EQ(got.border(), want.border());
+  if (want.size() == 0) return;
+  EXPECT_EQ(got.period(), want.period());
+  for (std::size_t len = 1; len <= want.size(); ++len) {
+    EXPECT_EQ(got.prefix_period(len), want.prefix_period(len))
+        << "prefix len " << len;
+  }
+}
 
 class PeriodProperty
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
@@ -145,6 +168,32 @@ TEST_P(PeriodProperty, IncrementalMatchesBatch) {
     IncrementalPeriod inc;
     for (const Label l : seq) inc.push_back(l);
     EXPECT_EQ(inc.period(), smallest_period(seq)) << to_string(seq);
+  }
+}
+
+TEST_P(PeriodProperty, TruncateMatchesAFreshPrefix) {
+  // A prefix's border array is the prefix of the border array: truncating
+  // to any length must answer every query as a fresh build of that prefix,
+  // and keep doing so once the same continuation is pushed onto both.
+  const auto [len, alphabet] = GetParam();
+  support::Rng rng(0x7e5c0000 + len * 37 + alphabet);
+  for (int rep = 0; rep < 10; ++rep) {
+    const LabelSequence seq = random_sequence(len, alphabet, rng);
+    const LabelSequence continuation = random_sequence(len, alphabet, rng);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      IncrementalPeriod truncated;
+      for (const Label l : seq) truncated.push_back(l);
+      truncated.truncate(cut);
+      IncrementalPeriod fresh;
+      for (std::size_t i = 0; i < cut; ++i) fresh.push_back(seq[i]);
+      expect_same_periods(truncated, fresh);
+      for (const Label l : continuation) {
+        truncated.push_back(l);
+        fresh.push_back(l);
+      }
+      // prefix_period covers every intermediate length of the regrowth.
+      expect_same_periods(truncated, fresh);
+    }
   }
 }
 
