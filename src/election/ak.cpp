@@ -49,14 +49,10 @@ bool AkProcess::append_and_test(Label x) {
   string_.push_back(x);
   max_count_ = std::max(max_count_, ++count_slot(x.value()));
   if (max_count_ < 2 * k_ + 1) return false;
-  // srp(string) is the prefix of length = smallest period. It is a Lyndon
-  // word iff it is rotationally aperiodic and is its own least rotation;
-  // its own smallest period comes straight out of the incremental border
-  // array, so the whole test runs on the stored sequence with no copy.
-  const std::size_t period = string_.period();
-  const std::size_t sub = string_.prefix_period(period);
-  if (sub < period && period % sub == 0) return false;  // symmetric prefix
-  return words::least_rotation_index(string_.sequence().data(), period) == 0;
+  // srp(string) is a Lyndon word iff it is its own least rotation. The
+  // rotation is cached with the period, so Booth's scan runs only when the
+  // token grew srp.
+  return string_.srp_least_rotation() == 0;
 }
 
 template <class Ctx>
@@ -97,10 +93,9 @@ void AkProcess::fire(const Message* head, Ctx& ctx) {
   if (!is_leader()) {
     // A4: learn the leader's label from the grown string and halt.
     ctx.note_action("A4");
-    // LW(srp(p.string))[1]: srp(string) is the length-period() prefix, so
-    // the rotation scan runs on a view of the grown string — no copy.
-    set_leader_label(words::lyndon_rotation_first(string_.sequence().data(),
-                                                  string_.period()));
+    // LW(srp(p.string))[1]: LW(srp) starts at srp's least rotation, which
+    // the grown string keeps cached — no copy and, mostly, no scan.
+    set_leader_label(string_.sequence()[string_.srp_least_rotation()]);
     set_done();
     ctx.send(Message::finish());
     halt_self();

@@ -63,8 +63,9 @@ class AkProcess final : public Process {
   [[nodiscard]] std::size_t space_bits(
       std::size_t label_bits) const override {
     // Paper accounting: |string| labels + p.id + p.leader (2 labels) +
-    // 3 Booleans (INIT, isLeader, done). The border array is excluded: it
-    // is a recomputable accelerator (see below).
+    // 3 Booleans (INIT, isLeader, done). The border array and the cached
+    // rotation are excluded: they are recomputable accelerators (see
+    // below).
     return (string_.size() + 2) * label_bits + 3;
   }
 
@@ -97,9 +98,14 @@ class AkProcess final : public Process {
   // hring-state: excluded(a-priori knowledge: every process knows k)
   std::size_t k_;
   bool init_ = true;
-  /// p.string plus its incrementally-maintained border array (the border
-  /// array is an accelerator, not algorithm state: srp could be recomputed
-  /// from the string at every step with identical behaviour).
+  /// p.string plus its incrementally-maintained border array and srp's
+  /// cached least rotation (both are accelerators, not algorithm state:
+  /// srp and its rotation could be recomputed from the string at every
+  /// step with identical behaviour). The guards' Leader(p.string·x) and
+  /// A4's LW(srp(p.string))[1] both read that rotation, and Booth's scan
+  /// runs only when srp changes, i.e. once per repeating prefix, not once
+  /// per token: once some label has 2k+1 copies, srp is fixed at
+  /// LLabels(p)^n (Lemma 6), so later tokens pay no scan.
   // hring-state: bits=(2*k+1)*n*b
   words::IncrementalPeriod string_;
   /// Occurrence count per label, for the 2k+1 threshold. A flat vector:

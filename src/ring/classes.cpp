@@ -1,7 +1,5 @@
 #include "ring/classes.hpp"
 
-#include <algorithm>
-
 #include "support/assert.hpp"
 #include "words/lyndon.hpp"
 
@@ -17,20 +15,16 @@ bool in_class_A(const LabeledRing& ring) {
 }
 
 bool in_class_Ustar(const LabeledRing& ring) {
-  for (const Label l : ring.labels()) {
-    if (ring.multiplicity(l) == 1) return true;
-  }
-  return false;
+  return !unique_labels(ring).empty();
 }
 
 bool in_class_K1(const LabeledRing& ring) { return in_class_Kk(ring, 1); }
 
 std::vector<Label> unique_labels(const LabeledRing& ring) {
   std::vector<Label> out;
-  for (const Label l : ring.labels()) {
-    if (ring.multiplicity(l) == 1) out.push_back(l);
+  for (const auto& [label, count] : ring.label_counts()) {
+    if (count == 1) out.push_back(label);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

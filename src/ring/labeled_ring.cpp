@@ -9,7 +9,6 @@ namespace hring::ring {
 
 LabeledRing::LabeledRing(LabelSequence labels) : labels_(std::move(labels)) {
   HRING_EXPECTS(labels_.size() >= 2);
-  for (const Label l : labels_) ++multiplicity_[l.value()];
 }
 
 LabeledRing LabeledRing::from_values(
@@ -36,20 +35,33 @@ ProcessIndex LabeledRing::left(ProcessIndex i) const {
 }
 
 std::size_t LabeledRing::multiplicity(Label label) const {
-  const auto it = multiplicity_.find(label.value());
-  return it == multiplicity_.end() ? 0 : it->second;
+  return static_cast<std::size_t>(
+      std::count(labels_.begin(), labels_.end(), label));
+}
+
+std::vector<std::pair<Label, std::size_t>> LabeledRing::label_counts()
+    const {
+  LabelSequence sorted = labels_;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::pair<Label, std::size_t>> counts;
+  for (auto run = sorted.begin(); run != sorted.end();) {
+    const auto next = std::upper_bound(run, sorted.end(), *run);
+    counts.emplace_back(*run, static_cast<std::size_t>(next - run));
+    run = next;
+  }
+  return counts;
 }
 
 std::size_t LabeledRing::max_multiplicity() const {
   std::size_t best = 0;
-  for (const auto& [value, count] : multiplicity_) {
+  for (const auto& [label, count] : label_counts()) {
     best = std::max(best, count);
   }
   return best;
 }
 
 std::size_t LabeledRing::distinct_labels() const {
-  return multiplicity_.size();
+  return label_counts().size();
 }
 
 LabelSequence LabeledRing::llabels(ProcessIndex i, std::size_t m) const {

@@ -3,12 +3,15 @@
 // Processes p_0 … p_{n-1} are arranged clockwise: p_i sends to p_{i+1} and
 // receives from p_{i-1} (indices mod n). Each process carries a label that
 // need not be unique (homonyms). The ring is a pure value type; the
-// simulator instantiates processes and links from it.
+// simulator instantiates processes and links from it. It holds only its
+// label buffer: the multiplicity queries count on demand, so a campaign's
+// per-cell ring costs no allocation beyond the labels it was built from.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "words/label.hpp"
 
@@ -39,12 +42,19 @@ class LabeledRing {
   [[nodiscard]] ProcessIndex left(ProcessIndex i) const;
 
   /// mlty[l]: the number of processes carrying label l (0 if absent).
+  /// O(n).
   [[nodiscard]] std::size_t multiplicity(Label label) const;
 
+  /// Each label of the ring with its multiplicity, in increasing label
+  /// order. O(n log n).
+  [[nodiscard]] std::vector<std::pair<Label, std::size_t>> label_counts()
+      const;
+
   /// max over labels of multiplicity — the M of Theorem 2's proof.
+  /// O(n log n).
   [[nodiscard]] std::size_t max_multiplicity() const;
 
-  /// Number of distinct labels |L|.
+  /// Number of distinct labels |L|. O(n log n).
   [[nodiscard]] std::size_t distinct_labels() const;
 
   /// The prefix LLabels(p_i)_m: labels read counter-clockwise from p_i,
@@ -67,7 +77,6 @@ class LabeledRing {
 
  private:
   LabelSequence labels_;
-  std::map<Label::rep_type, std::size_t> multiplicity_;
 };
 
 }  // namespace hring::ring

@@ -109,12 +109,7 @@ LabelSequence lyndon_rotation(const LabelSequence& seq) {
 }
 
 Label lyndon_rotation_first(const LabelSequence& seq) {
-  return lyndon_rotation_first(seq.data(), seq.size());
-}
-
-Label lyndon_rotation_first(const Label* seq, std::size_t n) {
-  HRING_EXPECTS(n > 0);
-  return seq[least_rotation_index(seq, n)];
+  return seq[least_rotation_index(seq)];
 }
 
 std::vector<std::size_t> duval_factorization(const LabelSequence& seq) {

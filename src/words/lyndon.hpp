@@ -21,7 +21,8 @@ namespace hring::words {
 [[nodiscard]] std::size_t least_rotation_index(const LabelSequence& seq);
 
 /// Same, on a raw label range — lets callers test a prefix of a larger
-/// sequence without copying it. Requires n > 0.
+/// sequence without copying it (IncrementalPeriod::srp_least_rotation).
+/// Requires n > 0.
 [[nodiscard]] std::size_t least_rotation_index(const Label* seq,
                                                std::size_t n);
 
@@ -50,11 +51,8 @@ namespace hring::words {
 
 /// First label of LW(σ) without materializing the rotation; this is the
 /// quantity A_k's action A4 assigns to p.leader: LW(srp(p.string))[1].
+/// Requires a non-empty sequence.
 [[nodiscard]] Label lyndon_rotation_first(const LabelSequence& seq);
-
-/// Same, on a raw label range — A_k evaluates LW(srp(p.string))[1] on the
-/// length-|srp| prefix of its grown string without copying it.
-[[nodiscard]] Label lyndon_rotation_first(const Label* seq, std::size_t n);
 
 /// Chen–Fox–Lyndon factorization via Duval's algorithm: σ = w1 w2 … wm with
 /// each wi Lyndon and w1 >= w2 >= … >= wm. Returned as the list of factor

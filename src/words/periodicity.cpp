@@ -1,6 +1,7 @@
 #include "words/periodicity.hpp"
 
 #include "support/assert.hpp"
+#include "words/lyndon.hpp"
 
 namespace hring::words {
 
@@ -59,6 +60,18 @@ void IncrementalPeriod::push_back(Label label) {
 std::size_t IncrementalPeriod::period() const {
   HRING_EXPECTS(!seq_.empty());
   return seq_.size() - border_.back();
+}
+
+// hring-lint: hot-path
+std::size_t IncrementalPeriod::srp_least_rotation() {
+  const std::size_t p = period();
+  if (p != cached_period_) {
+    const std::size_t root = prefix_period(p);
+    HRING_ASSERT(root == p || p % root != 0);  // srp is primitive
+    cached_rotation_ = least_rotation_index(seq_.data(), p);
+    cached_period_ = p;
+  }
+  return cached_rotation_;
 }
 
 }  // namespace hring::words

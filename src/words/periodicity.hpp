@@ -8,6 +8,10 @@
 // σ in the classical string sense (σ[i] = σ[i+m] whenever both sides exist),
 // so |srp(σ)| is the smallest period, computable from the KMP border array
 // as |σ| − border(σ).
+//
+// IncrementalPeriod also caches Booth's least-rotation index of srp for
+// A_k's Lyndon test, so that test scans once per period, not once per
+// received token.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +45,11 @@ namespace hring::words {
 /// amortized O(1); A_k consults period() after every received token, so the
 /// naive per-message recomputation would cost O(|σ|) each (ablated in
 /// bench_micro).
+///
+/// It also caches srp_least_rotation(), keyed on the period it was computed
+/// for. srp is the length-period() prefix and pushes never change a prefix,
+/// so the cached index is exact whenever period() equals the cached period,
+/// until truncate() cuts below that period or clear() runs.
 class IncrementalPeriod {
  public:
   IncrementalPeriod() = default;
@@ -53,16 +62,19 @@ class IncrementalPeriod {
   void clear() {
     seq_.clear();
     border_.clear();
+    cached_period_ = 0;
   }
 
   /// Rewinds to the length-`len` prefix, keeping both buffers' capacity.
   /// A prefix's border array is the prefix of the border array, so this
-  /// is O(1) (AkProcess::decode undoes appended labels with it). Requires
+  /// is O(1) (AkProcess::decode undoes appended labels with it). The
+  /// cached rotation survives when the cut keeps its srp. Requires
   /// len <= size().
   void truncate(std::size_t len) {
     HRING_EXPECTS(len <= seq_.size());
     seq_.resize(len);
     border_.resize(len);
+    if (len < cached_period_) cached_period_ = 0;
   }
 
   [[nodiscard]] std::size_t size() const { return seq_.size(); }
@@ -75,6 +87,7 @@ class IncrementalPeriod {
   /// every prefix border, so this is a lookup, not a recomputation.
   /// Requires 0 < len <= size().
   [[nodiscard]] std::size_t prefix_period(std::size_t len) const {
+    HRING_EXPECTS(0 < len && len <= border_.size());
     return len - border_[len - 1];
   }
 
@@ -83,9 +96,19 @@ class IncrementalPeriod {
     return border_.empty() ? 0 : border_.back();
   }
 
+  /// Least-rotation index (Booth) of srp, the length-period() prefix. srp
+  /// is primitive (a proper root of it would be a smaller period), so srp
+  /// is a Lyndon word iff this is 0, and sequence()[srp_least_rotation()]
+  /// is LW(srp)[1]. Runs Booth's scan only when period() differs from the
+  /// cached period. Requires size() > 0.
+  [[nodiscard]] std::size_t srp_least_rotation();
+
  private:
   LabelSequence seq_;
   std::vector<std::size_t> border_;
+  /// Period the cached rotation belongs to; 0 when nothing is cached.
+  std::size_t cached_period_ = 0;
+  std::size_t cached_rotation_ = 0;
 };
 
 }  // namespace hring::words

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "ring/generator.hpp"
 #include "support/rng.hpp"
 #include "words/label.hpp"
@@ -34,6 +39,28 @@ TEST(LabeledRingTest, Multiplicity) {
   EXPECT_EQ(ring.multiplicity(Label(9)), 0u);
   EXPECT_EQ(ring.max_multiplicity(), 3u);
   EXPECT_EQ(ring.distinct_labels(), 3u);
+}
+
+TEST(LabeledRingTest, MultiplicitiesMatchAMapCount) {
+  support::Rng rng(0x3a11);
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::size_t n = 2 + rng.below(999);
+    const auto ring = uniform_random_ring(n, 1 + rng.below(n + 4), rng);
+    std::map<Label::rep_type, std::size_t> counts;
+    std::size_t max_count = 0;
+    for (const Label l : ring.labels()) {
+      max_count = std::max(max_count, ++counts[l.value()]);
+    }
+    EXPECT_EQ(ring.max_multiplicity(), max_count) << "n=" << n;
+    EXPECT_EQ(ring.distinct_labels(), counts.size()) << "n=" << n;
+    std::vector<std::pair<Label, std::size_t>> expected;
+    for (const auto& [value, count] : counts) {
+      EXPECT_EQ(ring.multiplicity(Label(value)), count) << "label " << value;
+      expected.emplace_back(Label(value), count);
+    }
+    EXPECT_EQ(ring.label_counts(), expected) << "n=" << n;
+    EXPECT_EQ(ring.multiplicity(Label(0)), 0u);  // labels start at 1
+  }
 }
 
 TEST(LabeledRingTest, LLabelsGoesCounterClockwise) {

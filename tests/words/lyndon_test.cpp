@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
 #include <tuple>
 
 #include "support/rng.hpp"
@@ -76,6 +77,60 @@ TEST(HasRotationalSymmetryTest, AsymmetricCases) {
 
 TEST(HasRotationalSymmetryTest, EmptyIsNotSymmetric) {
   EXPECT_FALSE(has_rotational_symmetry({}));
+}
+
+/// Definitional symmetry: some rotation by d in 1..n-1 equals rotation 0.
+bool symmetric_naive(const LabelSequence& seq) {
+  for (std::size_t d = 1; d < seq.size(); ++d) {
+    if (compare_rotations(seq, 0, d) == std::strong_ordering::equal) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(HasRotationalSymmetryTest, MatchesNaiveOnEveryBinarySequenceUpTo12) {
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (std::size_t bits = 0; bits < (std::size_t{1} << n); ++bits) {
+      LabelSequence seq;
+      for (std::size_t i = 0; i < n; ++i) {
+        seq.emplace_back(1 + ((bits >> i) & 1));
+      }
+      ASSERT_EQ(has_rotational_symmetry(seq), symmetric_naive(seq))
+          << to_string(seq);
+    }
+  }
+}
+
+TEST(HasRotationalSymmetryTest, MatchesNaiveOnRandomSequences) {
+  support::Rng rng(0x5e7a);
+  for (int rep = 0; rep < 2000; ++rep) {
+    const std::size_t len = 1 + rng.below(64);
+    const LabelSequence seq = random_sequence(len, 1 + rng.below(4), rng);
+    EXPECT_EQ(has_rotational_symmetry(seq), symmetric_naive(seq))
+        << to_string(seq);
+  }
+}
+
+TEST(HasRotationalSymmetryTest, MatchesNaiveOnRepeatedBlocks) {
+  // block^reps is symmetric for reps >= 2; changing one label of it
+  // usually breaks every symmetry, and when it does not, the naive check
+  // says so too.
+  support::Rng rng(0xb10c);
+  for (int rep = 0; rep < 500; ++rep) {
+    const LabelSequence block =
+        random_sequence(1 + rng.below(8), 1 + rng.below(3), rng);
+    const std::size_t reps = 1 + rng.below(6);
+    LabelSequence seq;
+    for (std::size_t r = 0; r < reps; ++r) {
+      seq.insert(seq.end(), block.begin(), block.end());
+    }
+    EXPECT_EQ(has_rotational_symmetry(seq), symmetric_naive(seq))
+        << to_string(seq);
+    seq[rng.below(seq.size())] = Label(rng.below(4) + 1);
+    EXPECT_EQ(has_rotational_symmetry(seq), symmetric_naive(seq))
+        << to_string(seq);
+  }
 }
 
 TEST(IsLyndonTest, KnownLyndonWords) {

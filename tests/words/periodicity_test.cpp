@@ -6,6 +6,7 @@
 
 #include "support/rng.hpp"
 #include "words/label.hpp"
+#include "words/lyndon.hpp"
 
 namespace hring::words {
 namespace {
@@ -131,6 +132,101 @@ TEST(IncrementalPeriodTest, TruncateToEmptyThenRegrow) {
   EXPECT_EQ(inc.period(), 1u);
 }
 
+// -- srp's cached least rotation ------------------------------------------
+
+/// Booth's least-rotation index of srp(seq), computed from scratch.
+std::size_t fresh_srp_rotation(const LabelSequence& seq) {
+  return least_rotation_index(srp(seq));
+}
+
+IncrementalPeriod built_from(std::initializer_list<Label::rep_type> values) {
+  IncrementalPeriod inc;
+  for (const Label l : make_sequence(values)) inc.push_back(l);
+  return inc;
+}
+
+/// Label comparisons one srp_least_rotation() call performs. Out of line:
+/// inlined into a test body, GCC 12.2's -fsanitize=null check of the
+/// thread-local counter's address tested stale flags and reported a false
+/// "load of null pointer".
+[[gnu::noinline]] std::uint64_t comparisons_of_lookup(
+    IncrementalPeriod& inc) {
+  Label::reset_comparison_count();
+  static_cast<void>(inc.srp_least_rotation());
+  return Label::comparison_count();
+}
+
+TEST(IncrementalPeriodTest, SrpRotationFollowsPeriodGrowth) {
+  // Periods 1, 2, 2, 4, 4, 6, 7, 7: srp grows three times, and its least
+  // rotation moves with it (2.1 -> 1.2, 2.1.2.3 -> 1.2.3.2, ...).
+  IncrementalPeriod inc;
+  const LabelSequence seq = make_sequence({2, 1, 2, 3, 2, 1, 1, 2});
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    inc.push_back(seq[i]);
+    const LabelSequence prefix(seq.begin(),
+                               seq.begin() + static_cast<std::ptrdiff_t>(i) +
+                                   1);
+    EXPECT_EQ(inc.srp_least_rotation(), fresh_srp_rotation(prefix))
+        << "prefix len " << i + 1;
+  }
+}
+
+TEST(IncrementalPeriodTest, SrpRotationIsScannedOncePerPeriod) {
+  IncrementalPeriod inc = built_from({3, 1, 2});
+  EXPECT_GT(comparisons_of_lookup(inc), 0u);  // first lookup: Booth's scan
+  EXPECT_EQ(inc.srp_least_rotation(), 1u);
+  for (const Label l : make_sequence({3, 1, 2, 3, 1})) {
+    inc.push_back(l);  // keeps the period at 3
+    EXPECT_EQ(comparisons_of_lookup(inc), 0u) << "size " << inc.size();
+    EXPECT_EQ(inc.srp_least_rotation(), 1u);
+  }
+  inc.push_back(Label(1));  // 3.1.2.3.1.2.3.1.1: period 8
+  EXPECT_GT(comparisons_of_lookup(inc), 0u);
+  EXPECT_EQ(inc.srp_least_rotation(), fresh_srp_rotation(inc.sequence()));
+}
+
+TEST(IncrementalPeriodTest, TruncateBelowTheCachedPeriodDropsTheRotation) {
+  // 2.2.2.1 (period 4) has least rotation 1.2.2.2 at index 3. Cut to 2.2.2
+  // and push 3: 2.2.2.3 has period 4 again, but is its own least rotation.
+  IncrementalPeriod inc = built_from({2, 2, 2, 1});
+  ASSERT_EQ(inc.period(), 4u);
+  EXPECT_EQ(inc.srp_least_rotation(), 3u);
+  inc.truncate(3);
+  inc.push_back(Label(3));
+  ASSERT_EQ(inc.period(), 4u);
+  EXPECT_EQ(inc.srp_least_rotation(), 0u);
+}
+
+TEST(IncrementalPeriodTest, TruncateAtOrAboveTheCachedPeriodKeepsIt) {
+  // 2.1.2.1.2 has period 2: cutting to 4, 3 or 2 labels keeps srp = 2.1.
+  IncrementalPeriod inc = built_from({2, 1, 2, 1, 2});
+  EXPECT_EQ(inc.srp_least_rotation(), 1u);
+  for (const std::size_t cut : {4u, 3u, 2u}) {
+    inc.truncate(cut);
+    EXPECT_EQ(comparisons_of_lookup(inc), 0u) << "cut " << cut;
+    EXPECT_EQ(inc.srp_least_rotation(), 1u);
+  }
+  // Below it the period changes (2 -> 1), and the rotation is scanned anew.
+  inc.truncate(1);
+  EXPECT_EQ(inc.srp_least_rotation(), 0u);
+}
+
+TEST(IncrementalPeriodTest, ClearDropsTheRotation) {
+  IncrementalPeriod inc = built_from({2, 2, 2, 1});
+  EXPECT_EQ(inc.srp_least_rotation(), 3u);
+  inc.clear();
+  for (const Label l : make_sequence({2, 2, 2, 3})) inc.push_back(l);
+  ASSERT_EQ(inc.period(), 4u);
+  EXPECT_EQ(inc.srp_least_rotation(), 0u);
+}
+
+TEST(IncrementalPeriodTest, PrefixPeriodChecksItsRange) {
+  IncrementalPeriod inc = built_from({1, 2});
+  EXPECT_EQ(inc.prefix_period(2), 2u);
+  EXPECT_DEATH(static_cast<void>(inc.prefix_period(0)), "precondition");
+  EXPECT_DEATH(static_cast<void>(inc.prefix_period(3)), "precondition");
+}
+
 // -- properties over random sequences -------------------------------------
 
 /// Every query of `got` equals the same query of `want`.
@@ -194,6 +290,34 @@ TEST_P(PeriodProperty, TruncateMatchesAFreshPrefix) {
       // prefix_period covers every intermediate length of the regrowth.
       expect_same_periods(truncated, fresh);
     }
+  }
+}
+
+TEST_P(PeriodProperty, SrpRotationMatchesAFreshScan) {
+  // Random pushes, cuts on both sides of the cached period, and clears.
+  // After about half of them, the cached rotation must be Booth's index of
+  // the current srp; the other half let a cut or a clear and the pushes
+  // after it meet the next lookup together.
+  const auto [len, alphabet] = GetParam();
+  support::Rng rng(0x5c4a0000 + len * 41 + alphabet);
+  IncrementalPeriod inc;
+  for (int op = 0; op < 400; ++op) {
+    const std::size_t dice = rng.below(10);
+    if (dice == 0) {
+      inc.clear();
+    } else if (dice <= 2 && inc.size() > 0) {
+      const std::size_t p = inc.period();
+      // Half the cuts keep srp (len >= p), half cut into it.
+      const std::size_t cut = rng.below(2) == 0
+                                  ? p + rng.below(inc.size() - p + 1)
+                                  : rng.below(p);
+      inc.truncate(cut);
+    } else if (inc.size() < len) {
+      inc.push_back(Label(rng.below(alphabet) + 1));
+    }
+    if (inc.size() == 0 || rng.below(2) == 0) continue;
+    EXPECT_EQ(inc.srp_least_rotation(), fresh_srp_rotation(inc.sequence()))
+        << to_string(inc.sequence()) << " after op " << op;
   }
 }
 
