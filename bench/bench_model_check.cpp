@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
     std::size_t n;
     std::size_t alphabet;
   };
-  const Family families[] = {{2, 2}, {3, 2}, {3, 3}, {4, 2}, {4, 3},
-                             {5, 2}};
+  const Family families[] = {{2, 2}, {3, 2}, {3, 3}, {4, 2},
+                             {4, 3}, {5, 2}, {5, 3}, {6, 2}};
   for (const auto algo :
        {election::AlgorithmId::kAk, election::AlgorithmId::kBk}) {
     for (const auto& family : families) {

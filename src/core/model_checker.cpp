@@ -18,12 +18,29 @@ using sim::Message;
 using sim::Process;
 using sim::ProcessId;
 
+/// Base B of the rolling link hash. Odd, so every power of B is odd; and
+/// B^2 - 1 has 2-adic valuation 3, the least an odd base can have (see the
+/// collision paragraph of model_checker.hpp).
+constexpr std::uint64_t kLinkBase = 0xFF51AFD7ED558CCDULL;
+
+/// h(m) of the rolling link hash: splitmix64 of the label with the kind in
+/// the top three bits, one-to-one on messages whose labels are below 2^61.
+[[nodiscard]] std::uint64_t message_hash(const Message& msg) {
+  static_assert(sim::kNumMsgKinds <= 8);
+  std::uint64_t word =
+      msg.label.value() ^ (static_cast<std::uint64_t>(msg.kind) << 61);
+  return support::splitmix64(word);
+}
+
 /// Flat FIFO message queue of the working configuration. pop is a head
 /// bump and popped messages stay in place, so undoing a firing resets the
 /// head and truncates the tail.
 struct CheckLink {
   std::vector<Message> queue;
   std::size_t head = 0;
+  /// Rolling hash of the in-flight messages m_0 (the head) .. m_{len-1}:
+  /// Σ h(m_j)·B^(len-1-j) mod 2^64. CheckContext keeps it current.
+  std::uint64_t hash = 0;
 
   [[nodiscard]] bool empty() const { return head == queue.size(); }
   [[nodiscard]] std::size_t size() const { return queue.size() - head; }
@@ -85,45 +102,62 @@ class HashSet {
   bool has_zero_ = false;
 };
 
-/// Context for one firing inside the working configuration.
+/// Context for one firing inside the working configuration. It keeps the
+/// rolling hashes of the two links current in O(1) per consume and send.
 class CheckContext final : public sim::Context {
  public:
-  CheckContext(std::vector<CheckLink>& links, ProcessId pid)
-      : links_(links), pid_(pid) {}
+  /// `powers` holds B^0, B^1, ... and at least as many entries as the
+  /// longest link holds messages; send() extends it.
+  CheckContext(std::vector<CheckLink>& links,
+               std::vector<std::uint64_t>& powers, ProcessId pid)
+      : links_(links), powers_(powers), pid_(pid) {}
 
+  /// Pops the head m_0: H <- H - h(m_0)·B^(len-1).
+  // hring-lint: hot-path
   Message consume() override {
     CheckLink& link = links_[pid_ == 0 ? links_.size() - 1 : pid_ - 1];
     HRING_EXPECTS(!link.empty());
     HRING_EXPECTS(!consumed_);
     consumed_ = true;
     const Message msg = link.front();
+    link.hash -= message_hash(msg) * powers_[link.size() - 1];
     link.pop_front();
     return msg;
   }
 
-  void send(const Message& msg) override { links_[pid_].push_back(msg); }
+  /// Appends m: H <- H·B + h(m).
+  // hring-lint: hot-path
+  void send(const Message& msg) override {
+    CheckLink& link = links_[pid_];
+    link.push_back(msg);
+    link.hash = link.hash * kLinkBase + message_hash(msg);
+    if (link.size() > powers_.size()) {
+      powers_.push_back(powers_.back() * kLinkBase);
+    }
+  }
 
   void note_action(std::string_view) override {}
 
  private:
   std::vector<CheckLink>& links_;
+  std::vector<std::uint64_t>& powers_;
   ProcessId pid_;
   bool consumed_ = false;
 };
 
 class Checker {
  public:
-  Checker(const ring::LabeledRing& ring,
-          const election::AlgorithmConfig& algorithm,
+  Checker(const ring::LabeledRing& ring, const sim::ProcessFactory& factory,
           const ModelCheckConfig& config)
       : ring_(ring), config_(config) {
     // The enabled set per configuration is a single word-wide bitmask.
     HRING_EXPECTS(ring.size() <= 64);
-    const auto factory = election::make_factory(algorithm);
+    HRING_EXPECTS(factory != nullptr);
     links_.resize(ring.size());
     for (ProcessId pid = 0; pid < ring.size(); ++pid) {
       procs_.push_back(factory(pid, ring.label(pid)));
     }
+    process_hashes_.resize(ring.size());
     terms_.resize(2 * ring.size());
     // A ring with rotational symmetry has no true leader; only that clause
     // is dropped there.
@@ -140,8 +174,11 @@ class Checker {
     for (const auto& p : procs_) sim::check_initial(*p, report);
     check_configuration(report);
     for (ProcessId pid = 0; pid < procs_.size(); ++pid) {
-      set_term(pid, hash_process(pid));
-      set_term(link_component(pid), hash_link(links_[pid]));
+      const std::size_t top = arena_.size();
+      procs_[pid]->encode(arena_);
+      process_hashes_[pid] = rehash_and_pop(0, top, top);
+      set_term(pid, process_hashes_[pid]);
+      set_term(link_component(pid), link_hash(links_[pid]));
     }
     visited_.insert(hash_);
     report_.configurations = 1;
@@ -152,14 +189,18 @@ class Checker {
 
  private:
   /// What undo() needs to rewind one firing: the fired process's encode()
-  /// words at arena_[record..), the two link positions and the hash terms
-  /// of the three components the firing could change.
+  /// words at arena_[record..), the two links' positions and rolling
+  /// hashes, the process's hash and the hash terms of the three components
+  /// the firing could change.
   struct Undo {
     ProcessId pid;
     std::size_t record;
     std::size_t in_head;
+    std::uint64_t in_hash;
     std::size_t out_size;
+    std::uint64_t out_hash;
     std::uint64_t hash;
+    std::uint64_t proc_hash;
     std::uint64_t proc_term;
     std::uint64_t in_term;
     std::uint64_t out_term;
@@ -217,36 +258,48 @@ class Checker {
     return mask;
   }
 
-  /// Hashes the words pushed on the arena since `top`, then pops them: their
-  /// count plus Σ splitmix64(word_i ^ i·c) mod 2^64. No term waits on
-  /// another, so the multiplies of consecutive words overlap.
-  [[nodiscard]] std::uint64_t hash_and_pop(std::size_t top) {
+  /// splitmix64(word ^ i·c), the term of word i of a process's encoding.
+  [[nodiscard]] static std::uint64_t word_term(std::uint64_t word,
+                                               std::size_t i) {
     constexpr std::uint64_t kPositionMix = 0xC2B2AE3D27D4EB4FULL;  // c
-    std::uint64_t hash = arena_.size() - top;
-    for (std::size_t i = top; i < arena_.size(); ++i) {
-      std::uint64_t mixed = arena_[i] ^ ((i - top) * kPositionMix);
-      hash += support::splitmix64(mixed);
+    std::uint64_t mixed = word ^ (i * kPositionMix);
+    return support::splitmix64(mixed);
+  }
+
+  /// Turns `hash`, the hash of the encode() words at arena_[record, mid),
+  /// into the hash of the words pushed since `mid`, and pops those. A
+  /// hash is the words' count plus Σ splitmix64(word_i ^ i·c) mod 2^64, so
+  /// the empty encoding hashes to 0, and only the positions where the two
+  /// encodings differ, or that only one of them has, change a term. No
+  /// term waits on another, so the multiplies of consecutive words overlap.
+  [[nodiscard]] std::uint64_t rehash_and_pop(std::uint64_t hash,
+                                             std::size_t record,
+                                             std::size_t mid) {
+    const std::uint64_t* const before = arena_.data() + record;
+    const std::uint64_t* const after = arena_.data() + mid;
+    const std::size_t before_size = mid - record;
+    const std::size_t after_size = arena_.size() - mid;
+    hash += after_size - before_size;
+    const std::size_t common = std::min(before_size, after_size);
+    for (std::size_t i = 0; i < common; ++i) {
+      if (before[i] != after[i]) {
+        hash += word_term(after[i], i) - word_term(before[i], i);
+      }
     }
-    arena_.resize(top);
+    for (std::size_t i = common; i < before_size; ++i) {
+      hash -= word_term(before[i], i);
+    }
+    for (std::size_t i = common; i < after_size; ++i) {
+      hash += word_term(after[i], i);
+    }
+    arena_.resize(mid);
     return hash;
   }
 
-  /// Hash of a process's encode() words.
-  [[nodiscard]] std::uint64_t hash_process(ProcessId pid) {
-    const std::size_t top = arena_.size();
-    procs_[pid]->encode(arena_);
-    return hash_and_pop(top);
-  }
-
-  /// Hash of a link's in-flight count followed by its (kind, label) pairs.
-  [[nodiscard]] std::uint64_t hash_link(const CheckLink& link) {
-    const std::size_t top = arena_.size();
-    arena_.push_back(link.size());
-    for (std::size_t i = link.head; i < link.queue.size(); ++i) {
-      arena_.push_back(static_cast<std::uint64_t>(link.queue[i].kind));
-      arena_.push_back(link.queue[i].label.value());
-    }
-    return hash_and_pop(top);
+  /// A link's hash: its rolling hash plus its in-flight count. It depends
+  /// on the messages in flight only, not on how many have passed.
+  [[nodiscard]] static std::uint64_t link_hash(const CheckLink& link) {
+    return link.hash + link.size();
   }
 
   /// The configuration hash is Σ mix(component, component hash) mod 2^64,
@@ -261,8 +314,8 @@ class Checker {
 
   /// Fires `pid` in the working configuration, pushing its pre-firing
   /// encoding as the undo record, and re-hashes the components it changed:
-  /// the process, its in-link (if it consumed) and its out-link (if it
-  /// sent).
+  /// the process at the words its encoding changed, its in-link (if it
+  /// consumed) and its out-link (if it sent) from their rolling hashes.
   // hring-lint: hot-path
   Undo fire(ProcessId pid) {
     const std::size_t in = in_link(pid);
@@ -271,22 +324,28 @@ class Checker {
     const Undo step{pid,
                     arena_.size(),
                     inbox.head,
+                    inbox.hash,
                     outbox.queue.size(),
+                    outbox.hash,
                     hash_,
+                    process_hashes_[pid],
                     terms_[pid],
                     terms_[link_component(in)],
                     terms_[link_component(pid)]};
     procs_[pid]->encode(arena_);
+    const std::size_t mid = arena_.size();
     {
-      CheckContext ctx(links_, pid);
+      CheckContext ctx(links_, powers_, pid);
       procs_[pid]->fire(head_of(pid), ctx);
     }
-    set_term(pid, hash_process(pid));
+    procs_[pid]->encode(arena_);
+    process_hashes_[pid] = rehash_and_pop(step.proc_hash, step.record, mid);
+    set_term(pid, process_hashes_[pid]);
     if (inbox.head != step.in_head) {
-      set_term(link_component(in), hash_link(inbox));
+      set_term(link_component(in), link_hash(inbox));
     }
     if (outbox.queue.size() != step.out_size) {
-      set_term(link_component(pid), hash_link(outbox));
+      set_term(link_component(pid), link_hash(outbox));
     }
     return step;
   }
@@ -306,8 +365,11 @@ class Checker {
     arena_.resize(step.record);
     const std::size_t in = in_link(step.pid);
     links_[in].head = step.in_head;
+    links_[in].hash = step.in_hash;
     links_[step.pid].queue.resize(step.out_size);
+    links_[step.pid].hash = step.out_hash;
     hash_ = step.hash;
+    process_hashes_[step.pid] = step.proc_hash;
     terms_[step.pid] = step.proc_term;
     terms_[link_component(in)] = step.in_term;
     terms_[link_component(step.pid)] = step.out_term;
@@ -403,6 +465,11 @@ class Checker {
   /// LIFO undo arena: the fired process's encode() words, one record per
   /// DFS level, appended on descent and popped on backtrack.
   std::vector<std::uint64_t> arena_;
+  /// B^0, B^1, ...: at least as many powers as the longest link has held
+  /// messages.
+  std::vector<std::uint64_t> powers_{1};
+  /// Current hash of each process's encode() words.
+  std::vector<std::uint64_t> process_hashes_;
   /// Current hash term per component (processes, then links) and their
   /// sum, the working configuration's hash.
   std::vector<std::uint64_t> terms_;
@@ -426,12 +493,18 @@ std::string ModelCheckReport::to_string() const {
   return out;
 }
 
+ModelCheckReport check_all_schedules(const ring::LabeledRing& ring,
+                                     const sim::ProcessFactory& factory,
+                                     const ModelCheckConfig& config) {
+  Checker checker(ring, factory, config);
+  return checker.run();
+}
+
 ModelCheckReport check_all_schedules(
     const ring::LabeledRing& ring,
     const election::AlgorithmConfig& algorithm,
     const ModelCheckConfig& config) {
-  Checker checker(ring, algorithm, config);
-  return checker.run();
+  return check_all_schedules(ring, election::make_factory(algorithm), config);
 }
 
 }  // namespace hring::core

@@ -51,19 +51,41 @@
 //
 // The configuration hash is a sum of per-component terms,
 // Σ mix(component, component hash) mod 2^64, over the n processes and the
-// n links. A component's hash is taken over its words (a process's
-// encode() words; a link's in-flight count, then each message's kind and
-// label) as their count plus Σ splitmix64(word_i ^ i·c) mod 2^64: no term
-// waits on another, so the multiplies overlap. A firing re-hashes only the
-// process and the links it touched.
+// n links, and a transition pays only for the words it changed. A
+// process's hash is taken over its encode() words as their count plus
+// Σ splitmix64(word_i ^ i·c) mod 2^64. After a firing the checker encodes
+// the process again next to its undo record and updates the hash only at
+// the positions where the two encodings differ or that only one of them
+// has. A link carries a rolling hash of its in-flight messages m_0 (the
+// head) .. m_{len-1}, H = Σ h(m_j)·B^(len-1-j) mod 2^64, where h(m) is
+// splitmix64 of the message's kind and label and B is a fixed odd
+// constant. A send sets H <- H·B + h(m) and a consume
+// H <- H - h(m_0)·B^(len-1), both in O(1); undo restores the saved H. The
+// link's hash is H plus len, so it depends only on what is in flight,
+// never on how many messages have passed.
 //
 // The visited set holds these 64-bit hashes, not configurations (hash
 // compaction), in an open-addressing table: linear probing, power-of-two
 // capacity, load at most 1/2. An empty slot holds 0, so a hash of 0 is
 // kept in a separate flag and stays exact. Two distinct configurations
 // with equal hashes would merge silently and one subtree would go
-// unexplored. At the default budget of 10^6 configurations the chance of
-// any collision is below about 3·10^-8 (birthday bound, m²/2^65).
+// unexplored. If the component hashes behave as random words, the chance
+// of any collision at the default budget of 10^6 configurations is below
+// about 3·10^-8 (birthday bound, m²/2^65). For the rolling link hash the
+// argument runs as follows. Two link contents x and y have
+// H(x) - H(y) = Σ_m h(m)·c_m, where c_m sums +B^(len-1-j) over the
+// positions j of message m in x and the same powers, negated, over those
+// in y. B is odd, so every power of B is odd and c_m is odd whenever m
+// occurs an odd number of times more in one content than in the other.
+// Then h(m)·c_m, with h(m) an independent splitmix64 image, is uniform
+// mod 2^64, and so is the difference, shifted by the difference of the
+// lengths or not. Where every c_m is even, a structured ±δ pattern can
+// cancel: a Thue–Morse content of length 2^k and its complement over two
+// messages differ by δ·Π_{i<k} (B^(2^i) - 1), and B^(2^i) - 1 has 2-adic
+// valuation 2 for i = 0 and i + 2 for i >= 1 with this B. The product
+// reaches 2^64 only at k = 10, so such a pattern forces a collision only
+// past about 2^10 messages on one link. No link of the E13 families holds
+// more than 6.
 //
 // No process is cloned, and exploration allocates only when a buffer
 // grows: the arena, a link's queue, a process's own buffers (A_k's
@@ -78,6 +100,7 @@
 
 #include "election/algorithm.hpp"
 #include "ring/labeled_ring.hpp"
+#include "sim/engine.hpp"
 
 namespace hring::core {
 
@@ -104,9 +127,14 @@ struct ModelCheckReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Explores every asynchronous schedule of `algorithm` on `ring`. The
-/// algorithm's processes must support encode()/decode() restoration.
-/// Requires ring.size() <= 64 (the enabled set is a word-wide bitmask).
+/// Explores every asynchronous schedule of the processes `factory` builds
+/// on `ring`. They must support encode()/decode() restoration. Requires
+/// ring.size() <= 64 (the enabled set is a word-wide bitmask).
+[[nodiscard]] ModelCheckReport check_all_schedules(
+    const ring::LabeledRing& ring, const sim::ProcessFactory& factory,
+    const ModelCheckConfig& config = {});
+
+/// check_all_schedules over election::make_factory(algorithm).
 [[nodiscard]] ModelCheckReport check_all_schedules(
     const ring::LabeledRing& ring,
     const election::AlgorithmConfig& algorithm,

@@ -5,7 +5,7 @@
 
 namespace hring::words {
 
-thread_local std::uint64_t Label::comparison_count_ = 0;
+constinit thread_local std::uint64_t Label::comparison_count_ = 0;
 
 std::string to_string(Label label) { return std::to_string(label.value()); }
 

@@ -42,7 +42,7 @@ class Label {
 
  private:
   rep_type value_ = 0;
-  static thread_local std::uint64_t comparison_count_;
+  static constinit thread_local std::uint64_t comparison_count_;
 };
 
 /// A finite word over labels. LLabels(p) prefixes, ring label sequences and

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -11,11 +14,124 @@
 #include "ring/classes.hpp"
 #include "ring/fooling.hpp"
 #include "ring/generator.hpp"
+#include "sim/process.hpp"
 
 namespace hring::core {
 namespace {
 
 using election::AlgorithmId;
+using sim::Message;
+using sim::ProcessId;
+
+/// Forwards one token around the ring forever: each process has one init
+/// action, p0's sends the token, and every initialized process then passes
+/// on whatever it receives. Nobody is elected and nothing halts.
+class RelayProcess final : public sim::Process {
+ public:
+  RelayProcess(ProcessId pid, sim::Label id) : Process(pid, id) {}
+
+  [[nodiscard]] bool enabled(const Message* head) const override {
+    return init_ || head != nullptr;
+  }
+
+  void fire(const Message* /*head*/, sim::Context& ctx) override {
+    if (init_) {
+      init_ = false;
+      if (pid() == 0) ctx.send(Message::token(id()));
+      return;
+    }
+    ctx.send(ctx.consume());
+  }
+
+  [[nodiscard]] std::size_t space_bits(std::size_t /*label_bits*/)
+      const override {
+    return 1;
+  }
+
+  [[nodiscard]] std::string debug_state() const override {
+    return init_ ? "INIT" : "RELAY";
+  }
+
+  void encode(std::vector<std::uint64_t>& out) const override {
+    Process::encode(out);
+    out.push_back(init_ ? 1 : 0);
+  }
+
+  [[nodiscard]] bool decode(const std::uint64_t*& it,
+                            const std::uint64_t* end) override {
+    if (!decode_spec_vars(it, end) || it == end || *it > 1) return false;
+    init_ = *it++ == 1;
+    return true;
+  }
+
+ private:
+  bool init_ = true;
+};
+
+/// Passes one token around the ring forever and holds it in between: a
+/// receipt appends a stamp word to the encoding, whether the process had
+/// made its one tick yet, and the release removes it. A process that
+/// received before its tick can tick while it holds the token, so the
+/// encoding grows and shrinks by a word whose value (0 or 1) differs
+/// between configurations that agree everywhere else.
+class StampProcess final : public sim::Process {
+ public:
+  StampProcess(ProcessId pid, sim::Label id) : Process(pid, id) {}
+
+  [[nodiscard]] bool enabled(const Message* head) const override {
+    return init_ || head != nullptr || !ticked_ || stamp_.has_value();
+  }
+
+  void fire(const Message* head, sim::Context& ctx) override {
+    if (init_) {
+      init_ = false;
+      if (pid() == 0) ctx.send(Message::token(id()));
+    } else if (head != nullptr) {
+      static_cast<void>(ctx.consume());
+      stamp_ = ticked_ ? 1 : 0;
+    } else if (!ticked_) {
+      ticked_ = true;
+    } else {
+      stamp_.reset();
+      ctx.send(Message::token(id()));
+    }
+  }
+
+  [[nodiscard]] std::size_t space_bits(std::size_t /*label_bits*/)
+      const override {
+    return 4;
+  }
+
+  [[nodiscard]] std::string debug_state() const override {
+    return stamp_.has_value() ? "HOLD" : "WAIT";
+  }
+
+  void encode(std::vector<std::uint64_t>& out) const override {
+    Process::encode(out);
+    out.push_back((init_ ? 1U : 0U) | (ticked_ ? 2U : 0U) |
+                  (stamp_.has_value() ? 4U : 0U));
+    if (stamp_.has_value()) out.push_back(*stamp_);
+  }
+
+  [[nodiscard]] bool decode(const std::uint64_t*& it,
+                            const std::uint64_t* end) override {
+    if (!decode_spec_vars(it, end) || it == end || *it > 7) return false;
+    const std::uint64_t flags = *it++;
+    init_ = (flags & 1U) != 0;
+    ticked_ = (flags & 2U) != 0;
+    stamp_.reset();
+    if ((flags & 4U) != 0) {
+      if (it == end) return false;
+      stamp_ = *it++;
+    }
+    return true;
+  }
+
+ private:
+  bool init_ = true;
+  bool ticked_ = false;
+  std::optional<std::uint64_t> stamp_;
+};
 
 TEST(ModelCheckerTest, AkOnRemark122AllSchedules) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 2});
@@ -158,9 +274,9 @@ std::ostream& operator<<(std::ostream& os, const FamilyCounts& c) {
 TEST(ModelCheckerTest, GoldenCountsOnCanonicalAsymmetricRings) {
   // Every canonical asymmetric ring of each family, A_k and B_k with k =
   // the ring's multiplicity. A rewind that leaves any trace in the working
-  // configuration or its hash changes these sums. The E13 families
-  // (n2..n4) total 18,348 A_k and 7,825 B_k configurations; n5/a3 totals
-  // 97,476, perfbench's core.mc_configs.
+  // configuration or its hash changes these sums. These are the E13
+  // families, 153,420 A_k and 43,639 B_k configurations in total; n5/a3
+  // totals 97,476, perfbench's core.mc_configs.
   struct Golden {
     std::size_t n;
     std::size_t alphabet;
@@ -235,6 +351,42 @@ TEST(ModelCheckerTest, GoldenCountsOfTheBaselinesAndOnASymmetricRing) {
         << election::algorithm_name(golden.algo) << " on "
         << golden.ring.to_string();
   }
+}
+
+/// Counts of one search over processes of type `Proc` on the ring
+/// `labels`, which must end complete and without violation within 10,000
+/// configurations.
+template <class Proc>
+FamilyCounts scripted_counts(
+    std::initializer_list<sim::Label::rep_type> labels) {
+  const auto report = check_all_schedules(
+      ring::LabeledRing::from_values(labels),
+      [](ProcessId pid, sim::Label id) {
+        return std::make_unique<Proc>(pid, id);
+      },
+      ModelCheckConfig{10'000, true});
+  EXPECT_TRUE(report.complete) << report.to_string();
+  EXPECT_TRUE(report.ok) << report.to_string();
+  return {1, report.configurations, report.transitions,
+          report.terminal_configurations, report.max_depth};
+}
+
+TEST(ModelCheckerTest, RelayCycleIsFinite) {
+  // The token passes every link forever, yet the configurations are
+  // finite: which processes have initialized and which link holds the
+  // token. A configuration's hash must depend on the messages in flight,
+  // not on how many have passed through a link, or the search never ends.
+  EXPECT_EQ(scripted_counts<RelayProcess>({1, 2, 3}),
+            (FamilyCounts{1, 11, 17, 0, 6}));
+}
+
+TEST(ModelCheckerTest, EncodingsOfChangingLengthHashByContent) {
+  // A stamp word comes and goes at the tail of a process's encoding, so a
+  // firing's hash update must count the words that only the longer of the
+  // two encodings has. Otherwise the stamps 0 and 1 merge, or a released
+  // stamp stays in the hash and the search never ends.
+  EXPECT_EQ(scripted_counts<StampProcess>({1, 2}),
+            (FamilyCounts{1, 20, 28, 0, 9}));
 }
 
 TEST(ModelCheckerTest, BudgetExhaustionIsReportedHonestly) {

@@ -145,12 +145,8 @@ IncrementalPeriod built_from(std::initializer_list<Label::rep_type> values) {
   return inc;
 }
 
-/// Label comparisons one srp_least_rotation() call performs. Out of line:
-/// inlined into a test body, GCC 12.2's -fsanitize=null check of the
-/// thread-local counter's address tested stale flags and reported a false
-/// "load of null pointer".
-[[gnu::noinline]] std::uint64_t comparisons_of_lookup(
-    IncrementalPeriod& inc) {
+/// Label comparisons one srp_least_rotation() call performs.
+std::uint64_t comparisons_of_lookup(IncrementalPeriod& inc) {
   Label::reset_comparison_count();
   static_cast<void>(inc.srp_least_rotation());
   return Label::comparison_count();
