@@ -84,7 +84,8 @@ void usage(const char* argv0) {
          "                      sweep, registries of all runs are merged\n"
       << "  --watch N           render the configuration every N steps\n"
       << "  --model-check       exhaustively verify EVERY schedule (small\n"
-         "                      rings; Ak/Bk only) instead of one run\n"
+         "                      rings, at most 64 processes) instead of\n"
+         "                      one run\n"
       << "  --json              emit the full run report as JSON\n"
       << "  --quiet             outcome + stats only\n"
       << "  --runs N            sweep: number of cells (default 16;\n"
@@ -722,6 +723,12 @@ int main(int argc, char** argv) {
   }
 
   if (model_check) {
+    if (ring->size() > core::kMaxModelCheckProcesses) {
+      std::cerr << "--model-check explores rings of at most "
+                << core::kMaxModelCheckProcesses << " processes; this ring has "
+                << ring->size() << "\n";
+      return EXIT_FAILURE;
+    }
     core::ModelCheckConfig check_config;
     // The baselines elect the maximum label, which need not be the paper's
     // true leader; only A_k/B_k are held to it.

@@ -1,8 +1,10 @@
 #include "core/model_checker.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "sim/invariants.hpp"
@@ -18,6 +20,10 @@ using sim::Message;
 using sim::Process;
 using sim::ProcessId;
 
+/// An absent id: no successor state (a step that does not fire), no head
+/// message (an empty in-link), or no entry in an IdIndex.
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
 /// Base B of the rolling link hash. Odd, so every power of B is odd; and
 /// B^2 - 1 has 2-adic valuation 3, the least an odd base can have (see the
 /// collision paragraph of model_checker.hpp).
@@ -32,22 +38,26 @@ constexpr std::uint64_t kLinkBase = 0xFF51AFD7ED558CCDULL;
   return support::splitmix64(word);
 }
 
-/// Flat FIFO message queue of the working configuration. pop is a head
-/// bump and popped messages stay in place, so undoing a firing resets the
-/// head and truncates the tail.
-struct CheckLink {
-  std::vector<Message> queue;
-  std::size_t head = 0;
-  /// Rolling hash of the in-flight messages m_0 (the head) .. m_{len-1}:
-  /// Σ h(m_j)·B^(len-1-j) mod 2^64. CheckContext keeps it current.
-  std::uint64_t hash = 0;
+/// A process's hash: its encode() words' count plus
+/// Σ splitmix64(word_i ^ i·c) mod 2^64.
+[[nodiscard]] std::uint64_t words_hash(std::span<const std::uint64_t> words) {
+  constexpr std::uint64_t kPositionMix = 0xC2B2AE3D27D4EB4FULL;  // c
+  std::uint64_t hash = words.size();
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    std::uint64_t mixed = words[i] ^ (i * kPositionMix);
+    hash += support::splitmix64(mixed);
+  }
+  return hash;
+}
 
-  [[nodiscard]] bool empty() const { return head == queue.size(); }
-  [[nodiscard]] std::size_t size() const { return queue.size() - head; }
-  [[nodiscard]] const Message& front() const { return queue[head]; }
-  void pop_front() { ++head; }
-  void push_back(const Message& msg) { queue.push_back(msg); }
-};
+/// The term of the configuration hash that component `component` (p_i is
+/// component i, link p_i -> p_{i+1} is component n + i) adds when its own
+/// hash is `component_hash`.
+[[nodiscard]] std::uint64_t component_term(std::size_t component,
+                                           std::uint64_t component_hash) {
+  std::uint64_t mixed = component_hash ^ (component * 0xD1B54A32D192ED03ULL);
+  return support::splitmix64(mixed);
+}
 
 /// Visited set of 64-bit configuration hashes: open addressing with linear
 /// probing, power-of-two capacity, load at most 1/2. 0 marks an empty slot,
@@ -102,63 +112,310 @@ class HashSet {
   bool has_zero_ = false;
 };
 
-/// Context for one firing inside the working configuration. It keeps the
-/// rolling hashes of the two links current in O(1) per consume and send.
-class CheckContext final : public sim::Context {
+/// Index of the dense ids 0, 1, ... of a table, each filed under a 64-bit
+/// key: open addressing with linear probing, power-of-two capacity, load
+/// at most 1/2. A key need not identify its id: find() asks the caller to
+/// confirm each id filed under the key, so a table can file its entries
+/// under a hash and compare their contents.
+class IdIndex {
  public:
-  /// `powers` holds B^0, B^1, ... and at least as many entries as the
-  /// longest link holds messages; send() extends it.
-  CheckContext(std::vector<CheckLink>& links,
-               std::vector<std::uint64_t>& powers, ProcessId pid)
-      : links_(links), powers_(powers), pid_(pid) {}
+  IdIndex() : slots_(kInitialCapacity) {}
 
-  /// Pops the head m_0: H <- H - h(m_0)·B^(len-1).
+  /// The id filed under `key` that `same(id)` accepts, or kNone.
   // hring-lint: hot-path
-  Message consume() override {
-    CheckLink& link = links_[pid_ == 0 ? links_.size() - 1 : pid_ - 1];
-    HRING_EXPECTS(!link.empty());
-    HRING_EXPECTS(!consumed_);
-    consumed_ = true;
-    const Message msg = link.front();
-    link.hash -= message_hash(msg) * powers_[link.size() - 1];
-    link.pop_front();
-    return msg;
+  template <class Same>
+  [[nodiscard]] std::uint32_t find(std::uint64_t key, const Same& same) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(key); slots_[i].id != kNone; i = (i + 1) & mask) {
+      if (slots_[i].key == key && same(slots_[i].id)) return slots_[i].id;
+    }
+    return kNone;
   }
 
-  /// Appends m: H <- H·B + h(m).
-  // hring-lint: hot-path
-  void send(const Message& msg) override {
-    CheckLink& link = links_[pid_];
-    link.push_back(msg);
-    link.hash = link.hash * kLinkBase + message_hash(msg);
-    if (link.size() > powers_.size()) {
-      powers_.push_back(powers_.back() * kLinkBase);
+  /// Files `id` under `key`.
+  void insert(std::uint64_t key, std::uint32_t id) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      const std::vector<Slot> old =
+          std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
+      for (const Slot& slot : old) {
+        if (slot.id != kNone) place(slot);
+      }
     }
+    place({key, id});
+    ++size_;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t id = kNone;
+  };
+  static constexpr std::size_t kInitialCapacity = 256;
+
+  /// Where a probe for `key` starts: a multiply spreads the key's low bits
+  /// upwards and the shift brings its high bits down.
+  [[nodiscard]] std::size_t home(std::uint64_t key) const {
+    const std::uint64_t spread = key * 0x9E3779B97F4A7C15ULL;
+    return static_cast<std::size_t>(spread ^ (spread >> 32)) &
+           (slots_.size() - 1);
+  }
+
+  void place(const Slot& slot) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(slot.key);
+    while (slots_[i].id != kNone) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+/// The distinct messages of one search, each with its h(m). Links hold
+/// the messages' ids.
+class MessageTable {
+ public:
+  [[nodiscard]] const Message& at(std::uint32_t id) const {
+    return messages_[id];
+  }
+  [[nodiscard]] std::uint64_t hash(std::uint32_t id) const {
+    return hashes_[id];
+  }
+
+  /// The id of `msg`, new if no equal message was met before.
+  std::uint32_t intern(const Message& msg) {
+    const std::uint64_t hash = message_hash(msg);
+    const std::uint32_t found = index_.find(hash, [&](std::uint32_t id) {
+      return messages_[id].kind == msg.kind &&
+             messages_[id].label.value() == msg.label.value();
+    });
+    if (found != kNone) return found;
+    const auto id = static_cast<std::uint32_t>(messages_.size());
+    messages_.push_back(msg);
+    hashes_.push_back(hash);
+    index_.insert(hash, id);
+    return id;
+  }
+
+ private:
+  std::vector<Message> messages_;
+  std::vector<std::uint64_t> hashes_;
+  IdIndex index_;
+};
+
+/// Context of a firing at discovery: hands the process its in-link head
+/// and records whether it consumed it and which messages it sent.
+class RecordingContext final : public sim::Context {
+ public:
+  RecordingContext(const Message* head, MessageTable& messages,
+                   std::vector<std::uint32_t>& sent)
+      : head_(head), messages_(messages), sent_(sent) {}
+
+  Message consume() override {
+    HRING_EXPECTS(head_ != nullptr);
+    HRING_EXPECTS(!consumed_);
+    consumed_ = true;
+    return *head_;
+  }
+
+  void send(const Message& msg) override {
+    sent_.push_back(messages_.intern(msg));
   }
 
   void note_action(std::string_view) override {}
 
+  [[nodiscard]] bool consumed() const { return consumed_; }
+
  private:
-  std::vector<CheckLink>& links_;
-  std::vector<std::uint64_t>& powers_;
-  ProcessId pid_;
+  const Message* head_;
+  MessageTable& messages_;
+  std::vector<std::uint32_t>& sent_;
   bool consumed_ = false;
+};
+
+/// One interned local state of one process: its encode() words, the term
+/// it adds to the configuration hash, and the process's spec view in it.
+struct LocalState {
+  std::size_t first;  // its words are words_[first, first + size)
+  std::size_t size;
+  std::uint64_t term;
+  sim::SpecView view;
+};
+
+/// What a process does from one local state with one in-link head:
+/// nothing, or move to state `next`, consume the head or not, and send
+/// the messages whose ids are at [sends_begin, sends_end) of the memo's
+/// send list.
+struct LocalStep {
+  std::uint32_t next = kNone;  // kNone: halted, or no guard holds
+  std::uint32_t sends_begin = 0;
+  std::uint32_t sends_end = 0;
+  bool consumes = false;
+
+  [[nodiscard]] bool enabled() const { return next != kNone; }
+};
+
+/// Memo of one search's local steps. Each process's local states are
+/// interned by their encode() words, and each (state, head) pair met maps
+/// to one LocalStep. A pair is discovered once: the process is decoded
+/// into the state, asked enabled() and, if enabled, fired and re-encoded.
+/// Processes with equal encodings behave identically (the encode()
+/// contract, sim/process.hpp), so the step holds wherever the pair meets
+/// again.
+class LocalStepMemo {
+ public:
+  LocalStepMemo(const ring::LabeledRing& ring,
+                const sim::ProcessFactory& factory) {
+    HRING_EXPECTS(factory != nullptr);
+    for (ProcessId pid = 0; pid < ring.size(); ++pid) {
+      procs_.push_back(factory(pid, ring.label(pid)));
+    }
+  }
+
+  /// p_pid's state as the factory built it.
+  std::uint32_t initial_state(ProcessId pid) { return intern(pid); }
+
+  [[nodiscard]] const LocalState& state(std::uint32_t id) const {
+    return states_[id];
+  }
+  [[nodiscard]] const LocalStep& step(std::uint32_t id) const {
+    return steps_[id];
+  }
+  [[nodiscard]] std::span<const std::uint32_t> sends(
+      const LocalStep& step) const {
+    return {sent_.data() + step.sends_begin,
+            sent_.data() + step.sends_end};
+  }
+  [[nodiscard]] std::uint64_t message_hash(std::uint32_t id) const {
+    return messages_.hash(id);
+  }
+
+  /// The step of a process in local state `state` whose in-link head is
+  /// message `head` (kNone for an empty link), discovered if the pair is
+  /// new.
+  // hring-lint: hot-path
+  std::uint32_t step_of(std::uint32_t state, std::uint32_t head) {
+    const std::uint64_t key = (std::uint64_t{state} << 32) | head;
+    const std::uint32_t found =
+        step_index_.find(key, [](std::uint32_t) { return true; });
+    return found != kNone ? found : discover(key, state, head);
+  }
+
+ private:
+  std::uint32_t discover(std::uint64_t key, std::uint32_t state,
+                         std::uint32_t head) {
+    const ProcessId pid = states_[state].view.pid;
+    Process& p = *procs_[pid];
+    load(p, state);
+    LocalStep step;
+    step.sends_begin = static_cast<std::uint32_t>(sent_.size());
+    if (!p.halted()) {
+      // A copy: sending may grow the message table under the reference.
+      std::optional<Message> held;
+      if (head != kNone) held = messages_.at(head);
+      const Message* const msg = held.has_value() ? &*held : nullptr;
+      if (p.enabled(msg)) {
+        RecordingContext ctx(msg, messages_, sent_);
+        p.fire(msg, ctx);
+        step.consumes = ctx.consumed();
+        step.next = intern(pid);
+      }
+    }
+    step.sends_end = static_cast<std::uint32_t>(sent_.size());
+    HRING_ASSERT(steps_.size() < kNone);
+    const auto id = static_cast<std::uint32_t>(steps_.size());
+    steps_.push_back(step);
+    step_index_.insert(key, id);
+    return id;
+  }
+
+  /// Decodes `state` into `p`, which must then hold exactly that state: by
+  /// the encode() contract, a process whose encoding equals the stored
+  /// words behaves as the state does.
+  void load(Process& p, std::uint32_t state) {
+    const LocalState& s = states_[state];
+    const std::uint64_t* const first = words_.data() + s.first;
+    const std::uint64_t* const last = first + s.size;
+    const std::uint64_t* it = first;
+    const bool restored = p.decode(it, last);
+    // The factory's processes must support restoration (A_k, B_k and the
+    // identified-ring baselines implement decode()), decode() must consume
+    // exactly the words encode() wrote, and restore every one of them.
+    HRING_EXPECTS(restored);
+    HRING_EXPECTS(it == last);
+    scratch_.clear();
+    p.encode(scratch_);
+    const bool decode_restored_every_word =
+        std::equal(first, last, scratch_.begin(), scratch_.end());
+    HRING_EXPECTS(decode_restored_every_word);
+  }
+
+  /// The id of the state p_pid holds, interned by its encode() words.
+  std::uint32_t intern(ProcessId pid) {
+    const Process& p = *procs_[pid];
+    scratch_.clear();
+    p.encode(scratch_);
+    const std::uint64_t term = component_term(pid, words_hash(scratch_));
+    const std::uint32_t found = state_index_.find(term, [&](std::uint32_t id) {
+      const LocalState& s = states_[id];
+      const auto first = words_.begin() + static_cast<std::ptrdiff_t>(s.first);
+      return s.view.pid == pid &&
+             std::equal(scratch_.begin(), scratch_.end(), first,
+                        first + static_cast<std::ptrdiff_t>(s.size));
+    });
+    if (found != kNone) return found;
+    HRING_ASSERT(states_.size() < kNone);
+    const auto id = static_cast<std::uint32_t>(states_.size());
+    states_.push_back(
+        {words_.size(), scratch_.size(), term, sim::SpecView::of(p)});
+    words_.insert(words_.end(), scratch_.begin(), scratch_.end());
+    state_index_.insert(term, id);
+    return id;
+  }
+
+  /// One process per position, the ring's label its id: a scratch that
+  /// discovery decodes, asks and fires.
+  std::vector<std::unique_ptr<Process>> procs_;
+  /// encode() words of every interned state, back to back.
+  std::vector<std::uint64_t> words_;
+  std::vector<LocalState> states_;
+  /// States filed under their terms, which mix the position in.
+  IdIndex state_index_;
+  std::vector<LocalStep> steps_;
+  /// Steps filed under state << 32 | head.
+  IdIndex step_index_;
+  /// Ids of the messages each step sends, step after step.
+  std::vector<std::uint32_t> sent_;
+  MessageTable messages_;
+  /// One encoding, reused.
+  std::vector<std::uint64_t> scratch_;
+};
+
+/// Flat FIFO of message ids in the working configuration. pop is a head
+/// bump and popped ids stay in place, so undoing a firing resets the head
+/// and truncates the tail.
+struct CheckLink {
+  std::vector<std::uint32_t> queue;
+  std::size_t head = 0;
+  /// Rolling hash of the in-flight messages m_0 (the head) .. m_{len-1}:
+  /// Σ h(m_j)·B^(len-1-j) mod 2^64.
+  std::uint64_t hash = 0;
+  /// The link's term of the configuration hash.
+  std::uint64_t term = 0;
+
+  [[nodiscard]] bool empty() const { return head == queue.size(); }
+  [[nodiscard]] std::size_t size() const { return queue.size() - head; }
+  [[nodiscard]] std::uint32_t front() const { return queue[head]; }
 };
 
 class Checker {
  public:
   Checker(const ring::LabeledRing& ring, const sim::ProcessFactory& factory,
           const ModelCheckConfig& config)
-      : ring_(ring), config_(config) {
-    // The enabled set per configuration is a single word-wide bitmask.
-    HRING_EXPECTS(ring.size() <= 64);
-    HRING_EXPECTS(factory != nullptr);
+      : config_(config), memo_(ring, factory) {
+    state_.resize(ring.size());
+    step_.resize(ring.size());
     links_.resize(ring.size());
-    for (ProcessId pid = 0; pid < ring.size(); ++pid) {
-      procs_.push_back(factory(pid, ring.label(pid)));
-    }
-    process_hashes_.resize(ring.size());
-    terms_.resize(2 * ring.size());
     // A ring with rotational symmetry has no true leader; only that clause
     // is dropped there.
     if (config_.check_true_leader &&
@@ -168,42 +425,42 @@ class Checker {
   }
 
   ModelCheckReport run() {
+    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
+      state_[pid] = memo_.initial_state(pid);
+      hash_ += memo_.state(state_[pid]).term;
+      set_term(pid, links_[pid]);
+    }
     const auto report = [this](const std::string& what) {
       fail(what + " at initial configuration");
     };
-    for (const auto& p : procs_) sim::check_initial(*p, report);
-    check_configuration(report);
-    for (ProcessId pid = 0; pid < procs_.size(); ++pid) {
-      const std::size_t top = arena_.size();
-      procs_[pid]->encode(arena_);
-      process_hashes_[pid] = rehash_and_pop(0, top, top);
-      set_term(pid, process_hashes_[pid]);
-      set_term(link_component(pid), link_hash(links_[pid]));
+    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
+      sim::check_initial(view(pid), report);
     }
+    check_configuration(report);
     visited_.insert(hash_);
     report_.configurations = 1;
+    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
+      step_[pid] = memo_.step_of(state_[pid], head_of(pid));
+    }
     explore(/*depth=*/0, scan_enabled());
     report_.complete = !budget_exhausted_;
     return report_;
   }
 
  private:
-  /// What undo() needs to rewind one firing: the fired process's encode()
-  /// words at arena_[record..), the two links' positions and rolling
-  /// hashes, the process's hash and the hash terms of the three components
-  /// the firing could change.
+  /// What undo() needs to rewind one firing: the fired process's state
+  /// before it, its two links' positions, rolling hashes and terms, and
+  /// the configuration hash.
   struct Undo {
     ProcessId pid;
-    std::size_t record;
+    std::uint32_t state;
     std::size_t in_head;
     std::uint64_t in_hash;
+    std::uint64_t in_term;
     std::size_t out_size;
     std::uint64_t out_hash;
-    std::uint64_t hash;
-    std::uint64_t proc_hash;
-    std::uint64_t proc_term;
-    std::uint64_t in_term;
     std::uint64_t out_term;
+    std::uint64_t hash;
   };
 
   void fail(const std::string& what) {
@@ -215,172 +472,130 @@ class Checker {
     return pid == 0 ? links_.size() - 1 : pid - 1;
   }
 
-  /// Hash-component index of link p_i -> p_{i+1}; processes take 0..n-1.
-  [[nodiscard]] std::size_t link_component(std::size_t link) const {
-    return procs_.size() + link;
+  [[nodiscard]] ProcessId successor(ProcessId pid) const {
+    return pid + 1 == state_.size() ? 0 : pid + 1;
   }
 
-  [[nodiscard]] const Message* head_of(ProcessId pid) const {
+  /// Id of p_pid's in-link head, kNone when the link is empty.
+  [[nodiscard]] std::uint32_t head_of(ProcessId pid) const {
     const CheckLink& link = links_[in_link(pid)];
-    return link.empty() ? nullptr : &link.front();
-  }
-
-  [[nodiscard]] bool enabled(ProcessId pid) const {
-    const Process& p = *procs_[pid];
-    return !p.halted() && p.enabled(head_of(pid));
+    return link.empty() ? kNone : link.front();
   }
 
   [[nodiscard]] static std::uint64_t bit(ProcessId pid) {
     return std::uint64_t{1} << pid;
   }
 
-  /// Enabled set of the working configuration, every guard evaluated.
-  [[nodiscard]] std::uint64_t scan_enabled() const {
+  /// Enabled set of the working configuration, every step looked up
+  /// afresh from the processes' states and heads.
+  [[nodiscard]] std::uint64_t scan_enabled() {
     std::uint64_t mask = 0;
-    for (ProcessId pid = 0; pid < procs_.size(); ++pid) {
-      if (enabled(pid)) mask |= bit(pid);
-    }
-    return mask;
-  }
-
-  /// Enabled set after firing `pid` in a configuration whose set was
-  /// `mask`: only pid and its successor are re-evaluated. That is exact
-  /// under §II, as for BatchRunner's incremental set
-  /// (core/batch_engine.hpp): a guard reads its own process and its
-  /// in-link head, and a firing changes only its own process, pops only its
-  /// in-link and appends only to its out-link, the successor's in-link.
-  [[nodiscard]] std::uint64_t refresh(std::uint64_t mask,
-                                      ProcessId pid) const {
-    const ProcessId next = pid + 1 == procs_.size() ? 0 : pid + 1;
-    mask &= ~(bit(pid) | bit(next));
-    if (enabled(pid)) mask |= bit(pid);
-    if (enabled(next)) mask |= bit(next);
-    return mask;
-  }
-
-  /// splitmix64(word ^ i·c), the term of word i of a process's encoding.
-  [[nodiscard]] static std::uint64_t word_term(std::uint64_t word,
-                                               std::size_t i) {
-    constexpr std::uint64_t kPositionMix = 0xC2B2AE3D27D4EB4FULL;  // c
-    std::uint64_t mixed = word ^ (i * kPositionMix);
-    return support::splitmix64(mixed);
-  }
-
-  /// Turns `hash`, the hash of the encode() words at arena_[record, mid),
-  /// into the hash of the words pushed since `mid`, and pops those. A
-  /// hash is the words' count plus Σ splitmix64(word_i ^ i·c) mod 2^64, so
-  /// the empty encoding hashes to 0, and only the positions where the two
-  /// encodings differ, or that only one of them has, change a term. No
-  /// term waits on another, so the multiplies of consecutive words overlap.
-  [[nodiscard]] std::uint64_t rehash_and_pop(std::uint64_t hash,
-                                             std::size_t record,
-                                             std::size_t mid) {
-    const std::uint64_t* const before = arena_.data() + record;
-    const std::uint64_t* const after = arena_.data() + mid;
-    const std::size_t before_size = mid - record;
-    const std::size_t after_size = arena_.size() - mid;
-    hash += after_size - before_size;
-    const std::size_t common = std::min(before_size, after_size);
-    for (std::size_t i = 0; i < common; ++i) {
-      if (before[i] != after[i]) {
-        hash += word_term(after[i], i) - word_term(before[i], i);
+    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
+      if (memo_.step(memo_.step_of(state_[pid], head_of(pid))).enabled()) {
+        mask |= bit(pid);
       }
     }
-    for (std::size_t i = common; i < before_size; ++i) {
-      hash -= word_term(before[i], i);
+    return mask;
+  }
+
+  /// The enabled set after the firing that `record` rewinds, `mask` being
+  /// the set before it. Only the fired process's step is looked up again,
+  /// and its successor's if the firing sent into the successor's empty
+  /// in-link. That is exact under §II, as for BatchRunner's incremental
+  /// set (core/batch_engine.hpp): a guard reads its own process and its
+  /// in-link head, and a firing changes only its own process, pops only
+  /// its in-link and appends only to its out-link, whose head changes only
+  /// if it was empty.
+  std::uint64_t refresh(std::uint64_t mask, const Undo& record) {
+    const ProcessId pid = record.pid;
+    step_[pid] = memo_.step_of(state_[pid], head_of(pid));
+    mask &= ~bit(pid);
+    if (memo_.step(step_[pid]).enabled()) mask |= bit(pid);
+    const CheckLink& outbox = links_[pid];
+    if (outbox.head == record.out_size && !outbox.empty()) {
+      const ProcessId next = successor(pid);
+      step_[next] = memo_.step_of(state_[next], outbox.front());
+      mask &= ~bit(next);
+      if (memo_.step(step_[next]).enabled()) mask |= bit(next);
     }
-    for (std::size_t i = common; i < after_size; ++i) {
-      hash += word_term(after[i], i);
-    }
-    arena_.resize(mid);
-    return hash;
+    return mask;
   }
 
-  /// A link's hash: its rolling hash plus its in-flight count. It depends
-  /// on the messages in flight only, not on how many have passed.
-  [[nodiscard]] static std::uint64_t link_hash(const CheckLink& link) {
-    return link.hash + link.size();
+  /// Makes `link`'s term of the configuration hash match its contents: the
+  /// link's hash is its rolling hash plus its in-flight count, so it
+  /// depends on the messages in flight only, not on how many have passed.
+  void set_term(std::size_t link_index, CheckLink& link) {
+    const std::uint64_t term =
+        component_term(state_.size() + link_index, link.hash + link.size());
+    hash_ += term - link.term;
+    link.term = term;
   }
 
-  /// The configuration hash is Σ mix(component, component hash) mod 2^64,
-  /// so replacing one component's term updates it in O(1).
-  void set_term(std::size_t component, std::uint64_t component_hash) {
-    std::uint64_t mixed =
-        component_hash ^ (component * 0xD1B54A32D192ED03ULL);
-    const std::uint64_t term = support::splitmix64(mixed);
-    hash_ += term - terms_[component];
-    terms_[component] = term;
-  }
-
-  /// Fires `pid` in the working configuration, pushing its pre-firing
-  /// encoding as the undo record, and re-hashes the components it changed:
-  /// the process at the words its encoding changed, its in-link (if it
-  /// consumed) and its out-link (if it sent) from their rolling hashes.
+  /// Fires `pid`'s memoized step in the working configuration: the process
+  /// takes the step's successor state, and its in-link (if the step
+  /// consumes) and out-link (if it sends) change, their rolling hashes in
+  /// O(1) per message. The configuration hash changes by the difference of
+  /// the three components' terms.
   // hring-lint: hot-path
   Undo fire(ProcessId pid) {
+    const LocalStep& step = memo_.step(step_[pid]);
     const std::size_t in = in_link(pid);
     CheckLink& inbox = links_[in];
     CheckLink& outbox = links_[pid];
-    const Undo step{pid,
-                    arena_.size(),
-                    inbox.head,
-                    inbox.hash,
-                    outbox.queue.size(),
-                    outbox.hash,
-                    hash_,
-                    process_hashes_[pid],
-                    terms_[pid],
-                    terms_[link_component(in)],
-                    terms_[link_component(pid)]};
-    procs_[pid]->encode(arena_);
-    const std::size_t mid = arena_.size();
-    {
-      CheckContext ctx(links_, powers_, pid);
-      procs_[pid]->fire(head_of(pid), ctx);
+    const Undo record{pid,         state_[pid], inbox.head,
+                      inbox.hash,  inbox.term,  outbox.queue.size(),
+                      outbox.hash, outbox.term, hash_};
+    hash_ += memo_.state(step.next).term - memo_.state(state_[pid]).term;
+    state_[pid] = step.next;
+    if (step.consumes) {
+      // Pops the head m_0: H <- H - h(m_0)·B^(len-1).
+      inbox.hash -=
+          memo_.message_hash(inbox.front()) * powers_[inbox.size() - 1];
+      ++inbox.head;
+      set_term(in, inbox);
     }
-    procs_[pid]->encode(arena_);
-    process_hashes_[pid] = rehash_and_pop(step.proc_hash, step.record, mid);
-    set_term(pid, process_hashes_[pid]);
-    if (inbox.head != step.in_head) {
-      set_term(link_component(in), link_hash(inbox));
+    const std::span<const std::uint32_t> sends = memo_.sends(step);
+    if (!sends.empty()) {
+      // Appends each m: H <- H·B + h(m).
+      for (const std::uint32_t msg : sends) {
+        outbox.queue.push_back(msg);
+        outbox.hash = outbox.hash * kLinkBase + memo_.message_hash(msg);
+      }
+      while (powers_.size() < outbox.size()) {
+        powers_.push_back(powers_.back() * kLinkBase);
+      }
+      set_term(pid, outbox);
     }
-    if (outbox.queue.size() != step.out_size) {
-      set_term(link_component(pid), link_hash(outbox));
-    }
-    return step;
+    return record;
   }
 
   /// Rewinds fire(): the working configuration and its hash are exactly
   /// as fire() found them.
   // hring-lint: hot-path
-  void undo(const Undo& step) {
-    const std::uint64_t* it = arena_.data() + step.record;
-    const std::uint64_t* const end = arena_.data() + arena_.size();
-    const bool restored = procs_[step.pid]->decode(it, end);
-    // The factory's processes must support restoration (A_k, B_k and
-    // the identified-ring baselines implement decode()), and decode()
-    // must consume exactly the words encode() wrote.
-    HRING_EXPECTS(restored);
-    HRING_EXPECTS(it == end);
-    arena_.resize(step.record);
-    const std::size_t in = in_link(step.pid);
-    links_[in].head = step.in_head;
-    links_[in].hash = step.in_hash;
-    links_[step.pid].queue.resize(step.out_size);
-    links_[step.pid].hash = step.out_hash;
-    hash_ = step.hash;
-    process_hashes_[step.pid] = step.proc_hash;
-    terms_[step.pid] = step.proc_term;
-    terms_[link_component(in)] = step.in_term;
-    terms_[link_component(step.pid)] = step.out_term;
+  void undo(const Undo& record) {
+    state_[record.pid] = record.state;
+    CheckLink& inbox = links_[in_link(record.pid)];
+    inbox.head = record.in_head;
+    inbox.hash = record.in_hash;
+    inbox.term = record.in_term;
+    CheckLink& outbox = links_[record.pid];
+    outbox.queue.resize(record.out_size);
+    outbox.hash = record.out_hash;
+    outbox.term = record.out_term;
+    hash_ = record.hash;
+  }
+
+  /// p_pid as the spec clauses read it, from its interned state.
+  [[nodiscard]] const sim::SpecView& view(ProcessId pid) const {
+    return memo_.state(state_[pid]).view;
   }
 
   /// §II's per-configuration clauses on the working configuration.
   template <class Report>
   void check_configuration(Report&& report) const {
     sim::check_configuration(
-        procs_.size(),
-        [this](ProcessId q) -> const Process& { return *procs_[q]; },
+        state_.size(),
+        [this](ProcessId q) -> const sim::SpecView& { return view(q); },
         report);
   }
 
@@ -389,13 +604,14 @@ class Checker {
     const std::string where = "terminal configuration";
     std::size_t leaders = 0;
     ProcessId leader_pid = 0;
-    for (const auto& p : procs_) {
-      if (p->is_leader()) {
+    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
+      const sim::SpecState& p = view(pid).state;
+      if (p.is_leader) {
         ++leaders;
-        leader_pid = p->pid();
+        leader_pid = pid;
       }
-      if (!p->halted()) fail("process not halted at " + where);
-      if (!p->done()) fail("process not done at " + where);
+      if (!p.halted) fail("process not halted at " + where);
+      if (!p.done) fail("process not done at " + where);
     }
     for (const CheckLink& link : links_) {
       if (!link.empty()) fail("message left in flight at " + where);
@@ -404,9 +620,10 @@ class Checker {
       fail(std::to_string(leaders) + " leaders at " + where);
       return;
     }
-    const auto leader_label = ring_.label(leader_pid);
-    for (const auto& p : procs_) {
-      if (!p->leader().has_value() || !(*p->leader() == leader_label)) {
+    const auto leader_label = view(leader_pid).id;
+    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
+      const sim::SpecState& p = view(pid).state;
+      if (!p.leader.has_value() || !(*p.leader == leader_label)) {
         fail("disagreement on the leader label at " + where);
       }
     }
@@ -417,9 +634,9 @@ class Checker {
   }
 
   /// Invariants at entry: the working configuration holds the node, hash_
-  /// (already in visited_) is its hash and `enabled_mask` its enabled set.
-  /// On return the working configuration, hash_ and the arena are exactly
-  /// as at entry.
+  /// (already in visited_) is its hash, step_ holds each process's step in
+  /// it and `enabled_mask` its enabled set. On return all of them are
+  /// exactly as at entry.
   void explore(std::size_t depth, std::uint64_t enabled_mask) {
     report_.max_depth = std::max(report_.max_depth, depth);
     if (budget_exhausted_) return;
@@ -432,17 +649,16 @@ class Checker {
       return;
     }
 
-    for (ProcessId pid = 0; pid < procs_.size(); ++pid) {
+    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
       if ((enabled_mask & bit(pid)) == 0) continue;
       if (visited_.size() >= config_.max_configurations) {
         budget_exhausted_ = true;
         return;
       }
-      const sim::SpecState before = sim::SpecState::of(*procs_[pid]);
-      const Undo step = fire(pid);
+      const Undo record = fire(pid);
       ++report_.transitions;
       if (!visited_.insert(hash_)) {  // configuration seen
-        undo(step);
+        undo(record);
         continue;
       }
       ++report_.configurations;
@@ -451,28 +667,30 @@ class Checker {
       const auto report = [this, depth](const std::string& what) {
         fail(what + " at depth " + std::to_string(depth + 1));
       };
-      sim::check_transition(before, *procs_[pid], report);
+      sim::check_transition(memo_.state(record.state).view.state, view(pid),
+                            report);
       check_configuration(report);
-      explore(depth + 1, refresh(enabled_mask, pid));
-      undo(step);
+      const ProcessId next = successor(pid);
+      const std::uint32_t pid_step = step_[pid];
+      const std::uint32_t next_step = step_[next];
+      explore(depth + 1, refresh(enabled_mask, record));
+      step_[pid] = pid_step;
+      step_[next] = next_step;
+      undo(record);
     }
   }
 
-  const ring::LabeledRing& ring_;
   ModelCheckConfig config_;
-  std::vector<std::unique_ptr<Process>> procs_;
+  LocalStepMemo memo_;
+  /// The working configuration: each process's interned state and its
+  /// memoized step there, and the links.
+  std::vector<std::uint32_t> state_;
+  std::vector<std::uint32_t> step_;
   std::vector<CheckLink> links_;
-  /// LIFO undo arena: the fired process's encode() words, one record per
-  /// DFS level, appended on descent and popped on backtrack.
-  std::vector<std::uint64_t> arena_;
   /// B^0, B^1, ...: at least as many powers as the longest link has held
   /// messages.
   std::vector<std::uint64_t> powers_{1};
-  /// Current hash of each process's encode() words.
-  std::vector<std::uint64_t> process_hashes_;
-  /// Current hash term per component (processes, then links) and their
-  /// sum, the working configuration's hash.
-  std::vector<std::uint64_t> terms_;
+  /// The working configuration's hash, the sum of its components' terms.
   std::uint64_t hash_ = 0;
   std::optional<ring::ProcessIndex> expected_leader_;
   HashSet visited_;
@@ -496,6 +714,8 @@ std::string ModelCheckReport::to_string() const {
 ModelCheckReport check_all_schedules(const ring::LabeledRing& ring,
                                      const sim::ProcessFactory& factory,
                                      const ModelCheckConfig& config) {
+  // The enabled set per configuration is a single word-wide bitmask.
+  HRING_EXPECTS(ring.size() <= kMaxModelCheckProcesses);
   Checker checker(ring, factory, config);
   return checker.run();
 }

@@ -24,42 +24,58 @@
 // received once), so exploration terminates; `max_configurations` bounds
 // the search anyway and the report says whether it was exhaustive.
 //
-// The search works on ONE working configuration (processes built once from
-// the factory, flat message queues) and undoes each transition instead of
-// copying configurations. A §II firing changes one process, pops at most
-// its in-link head and appends only to its out-link, so before a firing
-// the checker records the process's encode() words in a LIFO arena (one
-// record per level of the DFS path), its in-link's head index and its
-// out-link's length. After the firing's subtree it decodes the process
-// from that record and resets the two links; every explore() call leaves
-// the working configuration exactly as it found it. decode() must consume
-// exactly the words encode() wrote. Algorithms opt into checking by
-// implementing Process::decode (A_k, B_k and the three identified-ring
-// baselines do). A_k's decode truncates when the record's string is a
-// prefix of the string the process holds, which an undo always meets (the
-// firing appended at most one label): it drops the tail's labels from the
-// counts and cuts the string and its border array, instead of replaying
-// every label through the border update.
+// The search memoizes local steps. Under §II a firing is a function of
+// the process's own state and its in-link head: it moves the process to a
+// new state, consumes the head or not, and appends messages to its
+// out-link. So the checker interns each process's local states by their
+// encode() words and maps each (process, state, in-link head or none)
+// pair to one step: enabled or not, the successor state, whether the head
+// is consumed, and the messages sent. A pair is discovered the first time
+// it is met: the process (one per position, built once from the factory)
+// is decoded into the state, asked enabled() and, if enabled, fired with a
+// context that records the consume and the sends, and re-encoded; the new
+// encoding is interned as the successor state. That is the only place a
+// Process method runs. The messages are interned too, so a link is a flat
+// queue of message ids.
 //
-// The same locality keeps the enabled set incremental: each explore() call
+// This is sound because of the encode() contract (sim/process.hpp): two
+// processes with equal encodings behave identically. A state is interned
+// by its position and all of its words, and the position fixes the
+// process's label, so one step serves every configuration in which the
+// pair recurs. Discovery holds decode() to that contract: after decode()
+// the process must encode exactly the stored words, or the check aborts,
+// rather than fire a process that did not return to the stored state.
+//
+// The search works on ONE working configuration: each process's state id,
+// its memoized step there, and the links. A transition applies its step:
+// it sets the process's state id, bumps the in-link's head if the step
+// consumes and appends the step's message ids to the out-link. Its undo
+// record is the old state id and the two links' positions and hashes, so
+// a transition and its undo take O(1) time plus O(1) per message sent,
+// whatever the size of the process's state, and call no Process method.
+// The memo belongs to one call: it is built as the search discovers steps
+// and freed with it, so every call pays for its own discoveries.
+//
+// The locality keeps the enabled set incremental: each explore() call
 // receives its configuration's enabled set as a bitmask, and after firing
-// p only p and its successor are re-evaluated for the child (the argument
-// of BatchRunner's incremental set, core/batch_engine.hpp). Where the mask
-// is empty, one full scan asserts that nothing is enabled before the
+// p only p's step is looked up again for the child, and its successor's
+// if the firing sent into an empty link (the argument of BatchRunner's
+// incremental set, core/batch_engine.hpp). Where the mask is empty, one
+// full scan of the steps asserts that nothing is enabled before the
 // terminal checks, so a bookkeeping slip aborts instead of filing a live
-// configuration as terminal.
+// configuration as terminal. The §II clauses read the spec views
+// (sim/invariants.hpp) that the interned states keep.
 //
 // The configuration hash is a sum of per-component terms,
 // Σ mix(component, component hash) mod 2^64, over the n processes and the
-// n links, and a transition pays only for the words it changed. A
+// n links, and a transition pays only for the components it changed. A
 // process's hash is taken over its encode() words as their count plus
-// Σ splitmix64(word_i ^ i·c) mod 2^64. After a firing the checker encodes
-// the process again next to its undo record and updates the hash only at
-// the positions where the two encodings differ or that only one of them
-// has. A link carries a rolling hash of its in-flight messages m_0 (the
-// head) .. m_{len-1}, H = Σ h(m_j)·B^(len-1-j) mod 2^64, where h(m) is
-// splitmix64 of the message's kind and label and B is a fixed odd
-// constant. A send sets H <- H·B + h(m) and a consume
+// Σ splitmix64(word_i ^ i·c) mod 2^64; it is computed once per interned
+// state, and the state keeps its term. A link carries a rolling hash of
+// its in-flight messages m_0 (the head) .. m_{len-1},
+// H = Σ h(m_j)·B^(len-1-j) mod 2^64, where h(m) is splitmix64 of the
+// message's kind and label (kept with the interned message) and B is a
+// fixed odd constant. A send sets H <- H·B + h(m) and a consume
 // H <- H - h(m_0)·B^(len-1), both in O(1); undo restores the saved H. The
 // link's hash is H plus len, so it depends only on what is in flight,
 // never on how many messages have passed.
@@ -87,11 +103,10 @@
 // past about 2^10 messages on one link. No link of the E13 families holds
 // more than 6.
 //
-// No process is cloned, and exploration allocates only when a buffer
-// grows: the arena, a link's queue, a process's own buffers (A_k's
-// string), or the visited set doubling its table. Each grows
-// geometrically and keeps its capacity, so the steady state allocates
-// nothing, up to that amortized growth.
+// No process is cloned. A transition allocates only when a link's queue,
+// the table of link-hash powers or the visited set grows; each grows
+// geometrically and keeps its capacity. Discovery allocates as the memo
+// grows, and the memo is freed with its search.
 #pragma once
 
 #include <cstdint>
@@ -103,6 +118,10 @@
 #include "sim/engine.hpp"
 
 namespace hring::core {
+
+/// Largest ring check_all_schedules accepts: the enabled set of a
+/// configuration is one 64-bit mask.
+inline constexpr std::size_t kMaxModelCheckProcesses = 64;
 
 struct ModelCheckConfig {
   /// Bound on distinct configurations visited before giving up.
@@ -128,8 +147,9 @@ struct ModelCheckReport {
 };
 
 /// Explores every asynchronous schedule of the processes `factory` builds
-/// on `ring`. They must support encode()/decode() restoration. Requires
-/// ring.size() <= 64 (the enabled set is a word-wide bitmask).
+/// on `ring`. They must support encode()/decode() restoration: decode()
+/// must restore every word encode() wrote. Requires
+/// ring.size() <= kMaxModelCheckProcesses.
 [[nodiscard]] ModelCheckReport check_all_schedules(
     const ring::LabeledRing& ring, const sim::ProcessFactory& factory,
     const ModelCheckConfig& config = {});

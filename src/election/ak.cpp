@@ -129,7 +129,6 @@ void AkProcess::encode(std::vector<std::uint64_t>& out) const {
   // encode them separately.
 }
 
-// hring-lint: hot-path
 bool AkProcess::decode(const std::uint64_t*& it, const std::uint64_t* end) {
   if (!decode_spec_vars(it, end)) return false;
   if (end - it < 2) return false;
@@ -144,10 +143,10 @@ bool AkProcess::decode(const std::uint64_t*& it, const std::uint64_t* end) {
   };
   if (length <= current.size() &&
       std::equal(it, it + length, current.begin(), same_label)) {
-    // The encoded string is a prefix of the current one (always so for the
-    // model checker's undo, whose firing appended at most one label): drop
-    // the tail's labels from the counts and truncate the string with its
-    // border array.
+    // The encoded string is a prefix of the current one (as when the model
+    // checker returns the process to a state earlier on its search path):
+    // drop the tail's labels from the counts and truncate the string with
+    // its border array.
     for (std::size_t i = length; i < current.size(); ++i) {
       --count_slot(current[i].value());
     }

@@ -8,9 +8,9 @@ void SpecMonitor::on_start(const ExecutionView& view) {
   const auto report = [&](const std::string& what) { record(view, what); };
   shadows_.clear();
   for (ProcessId pid = 0; pid < view.process_count(); ++pid) {
-    const Process& p = view.process(pid);
+    const SpecView p = SpecView::of(view.process(pid));
     check_initial(p, report);
-    shadows_.push_back(SpecState::of(p));
+    shadows_.push_back(p.state);
   }
 }
 
@@ -18,13 +18,13 @@ void SpecMonitor::on_step_end(const ExecutionView& view) {
   HRING_ASSERT(shadows_.size() == view.process_count());
   const auto report = [&](const std::string& what) { record(view, what); };
   for (ProcessId pid = 0; pid < view.process_count(); ++pid) {
-    const Process& p = view.process(pid);
+    const SpecView p = SpecView::of(view.process(pid));
     check_transition(shadows_[pid], p, report);
-    shadows_[pid] = SpecState::of(p);
+    shadows_[pid] = p.state;
   }
   check_configuration(
       view.process_count(),
-      [&view](ProcessId q) -> const Process& { return view.process(q); },
+      [&view](ProcessId q) { return SpecView::of(view.process(q)); },
       report);
 }
 

@@ -11,9 +11,11 @@
 // configuration — is a terminal-state property checked by core::verify.)
 //
 // The clauses come in three parts: check_initial, check_transition (one
-// process across one step) and check_configuration. SpecMonitor runs them
-// on every step of a simulated execution; the model checker
-// (core/model_checker.cpp) runs them on every explored configuration.
+// process across one step) and check_configuration. They read a SpecView
+// (position, label and spec variables), not a Process: SpecMonitor builds
+// the views from the live processes on every step of a simulated
+// execution, and the model checker (core/model_checker.cpp) from its
+// interned local states on every explored configuration.
 // Each part calls `report(what)` once per violation and builds the
 // message only then. Labels are compared by raw value, so a check never
 // adds to Label::comparison_count(): Stats::label_comparisons counts the
@@ -46,63 +48,76 @@ struct SpecState {
   }
 };
 
+/// What the clauses read of one process: its position, its label and its
+/// spec variables. A live process gives one through of(); the model
+/// checker builds them from its interned local states.
+struct SpecView {
+  ProcessId pid = 0;
+  Label id{};
+  SpecState state;
+
+  [[nodiscard]] static SpecView of(const Process& p) {
+    return SpecView{p.pid(), p.id(), SpecState::of(p)};
+  }
+};
+
 /// "p3": how violation messages name a process.
-[[nodiscard]] inline std::string spec_name(const Process& p) {
-  return "p" + std::to_string(p.pid());
+[[nodiscard]] inline std::string spec_name(const SpecView& p) {
+  return "p" + std::to_string(p.pid);
 }
 
 /// isLeader and done start FALSE.
 template <class Report>
-void check_initial(const Process& p, Report&& report) {
-  if (p.is_leader()) report(spec_name(p) + ".isLeader TRUE initially");
-  if (p.done()) report(spec_name(p) + ".done TRUE initially");
+void check_initial(const SpecView& p, Report&& report) {
+  if (p.state.is_leader) report(spec_name(p) + ".isLeader TRUE initially");
+  if (p.state.done) report(spec_name(p) + ".done TRUE initially");
 }
 
 /// `p` after a step whose start found it in `before`: isLeader, done and
 /// halted never revert, and p.leader never changes after done.
 template <class Report>
-void check_transition(const SpecState& before, const Process& p,
+void check_transition(const SpecState& before, const SpecView& p,
                       Report&& report) {
-  if (before.is_leader && !p.is_leader()) {
+  const SpecState& now = p.state;
+  if (before.is_leader && !now.is_leader) {
     report(spec_name(p) + ".isLeader reverted TRUE->FALSE");
   }
-  if (before.done && !p.done()) {
+  if (before.done && !now.done) {
     report(spec_name(p) + ".done reverted TRUE->FALSE");
   }
-  if (before.halted && !p.halted()) {
+  if (before.halted && !now.halted) {
     report(spec_name(p) + " resumed after halting");
   }
-  if (before.done && before.leader.has_value() && p.done()) {
-    const std::optional<Label> now = p.leader();
-    if (now.has_value() && now->value() != before.leader->value()) {
+  if (before.done && before.leader.has_value() && now.done) {
+    if (now.leader.has_value() &&
+        now.leader->value() != before.leader->value()) {
       report(spec_name(p) + ".leader changed after done");
     }
   }
 }
 
-/// One configuration of `n` processes, `process(q)` being p_q: halted
-/// implies done, done implies p.leader is set and some current leader
-/// carries it, and at most one process is a leader.
-template <class ProcessAt, class Report>
-void check_configuration(std::size_t n, ProcessAt&& process,
-                         Report&& report) {
+/// One configuration of `n` processes, `view(q)` being p_q's SpecView:
+/// halted implies done, done implies p.leader is set and some current
+/// leader carries it, and at most one process is a leader.
+template <class ViewAt, class Report>
+void check_configuration(std::size_t n, ViewAt&& view, Report&& report) {
   std::size_t leaders = 0;
   for (ProcessId pid = 0; pid < n; ++pid) {
-    const Process& p = process(pid);
-    if (p.is_leader()) ++leaders;
-    if (p.halted() && !p.done()) {
+    const SpecView& p = view(pid);
+    if (p.state.is_leader) ++leaders;
+    if (p.state.halted && !p.state.done) {
       report(spec_name(p) + " halted before done");
     }
-    if (!p.done()) continue;
-    const std::optional<Label> believed = p.leader();
+    if (!p.state.done) continue;
+    const std::optional<Label>& believed = p.state.leader;
     if (!believed.has_value()) {
       report(spec_name(p) + ".done without p.leader set");
       continue;
     }
     bool matched = false;
     for (ProcessId q = 0; q < n && !matched; ++q) {
-      const Process& cand = process(q);
-      matched = cand.is_leader() && cand.id().value() == believed->value();
+      const SpecView& cand = view(q);
+      matched = cand.state.is_leader && cand.id.value() == believed->value();
     }
     if (!matched) {
       report(spec_name(p) + ".done but no leader carries label " +

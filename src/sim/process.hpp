@@ -85,8 +85,9 @@ class Process {
   /// at `it` (reading at most up to `end`), advancing `it` past the
   /// consumed words. Returns false when the process does not support
   /// restoration (the default) or the input is truncated. Together with
-  /// encode() this lets the model checker snapshot and rewind
-  /// configurations without cloning processes (core/model_checker.hpp).
+  /// encode() this lets the model checker return one process to any
+  /// interned local state to discover its steps (core/model_checker.hpp),
+  /// so decode() must restore every word encode() writes.
   [[nodiscard]] virtual bool decode(const std::uint64_t*& it,
                                     const std::uint64_t* end) {
     (void)it;

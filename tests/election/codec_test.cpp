@@ -1,8 +1,8 @@
 // encode()/decode() round-trips for every algorithm that supports
-// snapshot restoration. The model checker rewinds its single working
-// configuration through these: decode(encode(p)) must reproduce p's
-// complete local state (witnessed by re-encoding) at every point of an
-// execution, not just at the start.
+// snapshot restoration. The model checker interns local states by their
+// encodings and decodes one into a process to discover its steps:
+// decode(encode(p)) must reproduce p's complete local state (witnessed by
+// re-encoding) at every point of an execution, not just at the start.
 //
 // The mutation tests below attack the codec the other way: a decoder fed
 // a corrupted stream — truncated, or with its words rotated out of their
@@ -236,7 +236,7 @@ struct Firing {
 };
 
 /// Records every firing of a run, per process in order: every state a
-/// process passes through, as the model checker's undo records see them.
+/// process passes through, as the model checker interns them.
 class FiringRecorder : public sim::Observer {
  public:
   explicit FiringRecorder(std::size_t n) : firings_(n) {}
@@ -272,7 +272,8 @@ std::vector<std::uint64_t> encoded(const sim::Process& proc) {
 
 TEST(AkCodecTest, DecodeIntoAHeldStateBehavesAsIntoAFreshProcess) {
   // AkProcess::decode truncates when the encoded string is a prefix of
-  // the string it holds (the model checker's undo) and rebuilds otherwise.
+  // the string it holds (the model checker returning a process to an
+  // earlier state of its search path) and rebuilds otherwise.
   // Its label counts and max count are not in encode(), so only behaviour
   // shows them: whatever the process held before, decoding a recorded
   // state must re-encode to it and then replay the recorded continuation

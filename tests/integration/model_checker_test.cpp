@@ -8,7 +8,10 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/model_checker.hpp"
 #include "ring/classes.hpp"
@@ -26,7 +29,7 @@ using sim::ProcessId;
 /// Forwards one token around the ring forever: each process has one init
 /// action, p0's sends the token, and every initialized process then passes
 /// on whatever it receives. Nobody is elected and nothing halts.
-class RelayProcess final : public sim::Process {
+class RelayProcess : public sim::Process {
  public:
   RelayProcess(ProcessId pid, sim::Label id) : Process(pid, id) {}
 
@@ -66,6 +69,107 @@ class RelayProcess final : public sim::Process {
 
  private:
   bool init_ = true;
+};
+
+/// A RelayProcess that also remembers whether it has fired with a head in
+/// its in-link, in an encoded word that its decode() skips: a lossy
+/// decode. No guard reads the flag, so a search that trusts decode()
+/// explores states that are not the stored ones without noticing.
+class LossyRelayProcess final : public RelayProcess {
+ public:
+  using RelayProcess::RelayProcess;
+
+  void fire(const Message* head, sim::Context& ctx) override {
+    saw_head_ = saw_head_ || head != nullptr;
+    RelayProcess::fire(head, ctx);
+  }
+
+  void encode(std::vector<std::uint64_t>& out) const override {
+    RelayProcess::encode(out);
+    out.push_back(saw_head_ ? 1 : 0);
+  }
+
+  [[nodiscard]] bool decode(const std::uint64_t*& it,
+                            const std::uint64_t* end) override {
+    if (!RelayProcess::decode(it, end) || it == end) return false;
+    ++it;  // the saw-head word, not restored
+    return true;
+  }
+
+ private:
+  bool saw_head_ = false;
+};
+
+/// The local steps one search asked its processes about: each enabled()
+/// and fire() call, keyed by the process, its encode() words and the head.
+struct StepLog {
+  std::set<std::vector<std::uint64_t>> asked;
+  std::set<std::vector<std::uint64_t>> fired;
+  std::uint64_t fires = 0;
+  /// Calls whose key was already in their set.
+  std::uint64_t repeats = 0;
+
+  void note(std::set<std::vector<std::uint64_t>>& seen, ProcessId pid,
+            const sim::Process& p, const Message* head) {
+    std::vector<std::uint64_t> key{
+        pid, head != nullptr ? 1U : 0U,
+        head != nullptr ? static_cast<std::uint64_t>(head->kind) : 0U,
+        head != nullptr ? head->label.value() : 0U};
+    p.encode(key);
+    if (!seen.insert(std::move(key)).second) ++repeats;
+  }
+};
+
+/// Forwards every virtual to an inner process and notes each enabled()
+/// and fire() call in a StepLog.
+class LoggingProcess final : public sim::Process {
+ public:
+  LoggingProcess(std::unique_ptr<sim::Process> inner, StepLog& log)
+      : Process(inner->pid(), inner->id()),
+        inner_(std::move(inner)),
+        log_(log) {}
+
+  [[nodiscard]] bool enabled(const Message* head) const override {
+    log_.note(log_.asked, pid(), *inner_, head);
+    return inner_->enabled(head);
+  }
+
+  void fire(const Message* head, sim::Context& ctx) override {
+    ++log_.fires;
+    log_.note(log_.fired, pid(), *inner_, head);
+    inner_->fire(head, ctx);
+  }
+
+  [[nodiscard]] std::size_t space_bits(std::size_t label_bits)
+      const override {
+    return inner_->space_bits(label_bits);
+  }
+
+  [[nodiscard]] std::string debug_state() const override {
+    return inner_->debug_state();
+  }
+
+  void encode(std::vector<std::uint64_t>& out) const override {
+    inner_->encode(out);
+  }
+
+  [[nodiscard]] bool decode(const std::uint64_t*& it,
+                            const std::uint64_t* end) override {
+    return inner_->decode(it, end);
+  }
+
+  [[nodiscard]] bool is_leader() const override {
+    return inner_->is_leader();
+  }
+  [[nodiscard]] bool done() const override { return inner_->done(); }
+  [[nodiscard]] std::optional<sim::Label> leader() const override {
+    return inner_->leader();
+  }
+  [[nodiscard]] bool halted() const override { return inner_->halted(); }
+
+ private:
+  std::unique_ptr<sim::Process> inner_;
+  StepLog& log_;
 };
 
 /// Passes one token around the ring forever and holds it in between: a
@@ -369,6 +473,62 @@ FamilyCounts scripted_counts(
   EXPECT_TRUE(report.ok) << report.to_string();
   return {1, report.configurations, report.transitions,
           report.terminal_configurations, report.max_depth};
+}
+
+TEST(ModelCheckerTest, FiresEachLocalStepOncePerCall) {
+  // Every canonical asymmetric n5/a3 ring, A_k and B_k with k = the ring's
+  // multiplicity, each process wrapped in a LoggingProcess. A search asks
+  // each (process, encoding, head) at most once whether it is enabled and
+  // fires it at most once, and its counts are still the goldens'. A second
+  // identical call fires as often as the first: no memo outlives its call.
+  const auto rings = ring::enumerate_rings(5, 3, /*asymmetric_only=*/true,
+                                           /*canonical_only=*/true);
+  for (const auto algo : {AlgorithmId::kAk, AlgorithmId::kBk}) {
+    FamilyCounts counts;
+    for (const auto& r : rings) {
+      const auto inner =
+          election::make_factory({algo, r.max_multiplicity(), false});
+      std::uint64_t first_fires = 0;
+      for (int call = 0; call < 2; ++call) {
+        StepLog log;
+        const auto report = check_all_schedules(
+            r, [&](ProcessId pid, sim::Label id) {
+              return std::make_unique<LoggingProcess>(inner(pid, id), log);
+            });
+        const std::string where =
+            std::string(election::algorithm_name(algo)) + " on " +
+            r.to_string() + ", call " + std::to_string(call + 1);
+        EXPECT_TRUE(report.complete && report.ok)
+            << where << ": " << report.to_string();
+        EXPECT_EQ(log.repeats, 0u) << where;
+        EXPECT_GT(log.fires, 0u) << where;
+        if (call == 0) {
+          first_fires = log.fires;
+          ++counts.rings;
+          counts.configurations += report.configurations;
+          counts.transitions += report.transitions;
+          counts.terminal += report.terminal_configurations;
+          counts.max_depth = std::max(counts.max_depth, report.max_depth);
+        } else {
+          EXPECT_EQ(log.fires, first_fires) << where;
+        }
+      }
+    }
+    EXPECT_EQ(counts, algo == AlgorithmId::kAk
+                          ? (FamilyCounts{48, 75912, 209240, 48, 80})
+                          : (FamilyCounts{48, 21564, 43018, 48, 520}))
+        << election::algorithm_name(algo);
+  }
+}
+
+TEST(ModelCheckerDeathTest, LossyDecodeAbortsTheCheck) {
+  // p1 first fires its init action from an empty in-link. Its subtree
+  // leaves the process holding a state that has seen a head; once p1 meets
+  // its post-init state with an empty in-link again, discovery decodes
+  // that state, the flag stays set, and the process no longer encodes the
+  // stored words.
+  EXPECT_DEATH(scripted_counts<LossyRelayProcess>({1, 2}),
+               "precondition failed: decode_restored_every_word");
 }
 
 TEST(ModelCheckerTest, RelayCycleIsFinite) {
