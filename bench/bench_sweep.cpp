@@ -6,8 +6,8 @@
 //   scalar    — run_campaign with the scalar backend (CellQueue span
 //               claiming, merged histograms, one recycled scalar engine
 //               per worker);
-//   batch     — run_campaign with the batch backend (BatchRunner arena,
-//               batch_slots rings stepped per worker).
+//   batch     — run_campaign with the batch backend (one BatchRunner
+//               ring per worker, restarted in place for each cell).
 //
 // Both derive per-cell seeds the same way, verify every terminal
 // configuration and elect identical leaders; the batch backend's Stats
@@ -105,8 +105,8 @@ int main(int argc, char** argv) {
   benchutil::emit(table, format);
   benchutil::footer(
       format,
-      "\nthe batch engine packs batch_slots rings per arena (one process "
-      "arena recycled in place,\none LinkPlane) and amortizes every "
+      "\nthe batch engine restarts one ring per worker in place for each "
+      "cell (its processes,\none LinkPlane) and amortizes every "
       "per-cell fixed cost; the committed reference series lives\nin "
       "BENCH_sweep.json (schema: docs/REPRODUCING.md).\n");
   return 0;

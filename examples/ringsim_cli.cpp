@@ -85,7 +85,7 @@ void usage(const char* argv0) {
       << "  --watch N           render the configuration every N steps\n"
       << "  --model-check       exhaustively verify EVERY schedule (small\n"
          "                      rings, at most 64 processes) instead of\n"
-         "                      one run\n"
+         "                      one run; not with audit, sweep or trace\n"
       << "  --json              emit the full run report as JSON\n"
       << "  --quiet             outcome + stats only\n"
       << "  --runs N            sweep: number of cells (default 16;\n"
@@ -353,6 +353,14 @@ int main(int argc, char** argv) {
     std::cerr << (watchdog_ms > 0 ? "--watchdog-ms" : "--flight-out")
               << " requires run --transport=threads (the in-host runtime; "
                  "see docs/RUNTIME.md)\n";
+    return EXIT_FAILURE;
+  }
+  if (model_check && (sweep || audit || trace_cmd)) {
+    // Each of these modes would run instead of the exhaustive check.
+    std::cerr << "--model-check is a mode of its own and cannot be combined "
+                 "with the "
+              << (sweep ? "sweep" : audit ? "audit" : "trace")
+              << " subcommand\n";
     return EXIT_FAILURE;
   }
 

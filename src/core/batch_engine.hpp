@@ -1,16 +1,15 @@
-// Batched step engine: many small-n elections per arena.
+// Batch step engine: one recycled ring per campaign worker.
 //
 // The scalar StepEngine runs one ring at a time over heap-allocated
 // Process objects. A campaign runs millions of small rings, where the
 // per-cell fixed costs (process construction, engine rebinding, scheduler
 // allocation) dominate the handful of microseconds the election itself
-// takes. BatchRunner amortizes them away: it packs `slots` rings of n
-// nodes into one arena — one slot-major vector of process objects, one
-// LinkPlane for every link of every ring, one flat age plane — and steps
-// all active slots in a loop, recycling each slot for the next cell the
-// moment its election completes: restart() rebinds a slot's processes to
-// the new ring in place, keeping their buffers, so the arena allocates
-// nothing once it has warmed up.
+// takes. BatchRunner amortizes them away: it holds one ring of n process
+// objects, its n links (a LinkPlane), the enabled and chosen bitsets and n
+// ages, and run() steps one cell to completion on them. Each run()
+// restarts the ring in place for its cell, whatever the previous cell left
+// behind: restart() rebinds the processes to the new ring keeping their
+// buffers, so the runner allocates nothing once it has warmed up.
 //
 // The runner runs the processes' own actions. The process type is a final
 // class (AkProcess, BkProcess, ChangRobertsProcess, LeLannProcess or
@@ -18,29 +17,28 @@
 // are statically dispatched and inlined, and fire() is the process's
 // action template instantiated for election::BatchFireContext — the same
 // code every other engine runs through sim::Context. The stepping itself
-// is StepEngine::step_once's: the same enabled set, fairness forcing,
-// scheduler selection (BatchScheduler embeds the same concrete scheduler
-// types by value) and firing order. Per-cell Stats are therefore
+// is StepEngine::step_once's: the same sim::choose_step (fairness forcing,
+// then the daemon's picks; BatchScheduler embeds the same daemon types by
+// value) and the same ascending firing order. Per-cell Stats are therefore
 // byte-identical to a scalar run of the same (ring, config, seed) — the
 // batch-vs-scalar cross-check grid in tests/integration/batch_engine_test
 // enforces it field by field, including the Label-comparison count, which
-// is captured per slot as a delta of the thread-local counter around each
-// slot's step.
+// both engines read off the thread-local counter they reset when a run
+// starts.
 //
 // Only the way the enabled set is found differs. StepEngine re-evaluates
-// all n guards every step; the runner keeps each slot's enabled set as a
-// bitset (one word per 64 nodes) and, after a step's firings, re-evaluates
-// only the fired processes and their successors. That is exact under §II:
-// a guard reads only the process's own variables and the head of its
-// in-link, and a firing changes only its own variables, pops only its own
-// in-link and appends only to its out-link — the successor's in-link. No
-// other guard can change value. The set bits, read in ascending pid order,
-// are the sorted vector step_once builds, so the schedulers draw the same
-// random numbers. Guards compare message kinds, never labels, so
-// evaluating fewer of them leaves the Label-comparison count unchanged.
+// all n guards every step; the runner keeps the enabled set across steps
+// and, after a step's firings, re-evaluates only the fired processes and
+// their successors. That is exact under §II: a guard reads only the
+// process's own variables and the head of its in-link, and a firing
+// changes only its own variables, pops only its own in-link and appends
+// only to its out-link — the successor's in-link. No other guard can
+// change value. Guards compare message kinds, never labels, so evaluating
+// fewer of them leaves the Label-comparison count unchanged.
 //
 // One BatchRunner is single-threaded; campaign workers each own one
-// (core/campaign.cpp) and pull cells from a shared CellQueue.
+// (core/campaign.cpp) and run the cells they claim from a shared
+// CellQueue one after another.
 #pragma once
 
 #include <algorithm>
@@ -64,8 +62,8 @@
 
 namespace hring::core {
 
-/// The step-engine schedulers, embedded by value and tag-dispatched — a
-/// recycled slot re-seeds its scheduler without touching the allocator
+/// The step-engine schedulers, embedded by value and tag-dispatched — each
+/// cell re-seeds the runner's scheduler without touching the allocator
 /// (make_scheduler, by contrast, heap-allocates one per run).
 class BatchScheduler {
  public:
@@ -91,23 +89,22 @@ class BatchScheduler {
   }
 
   // hring-lint: hot-path
-  void select(const std::vector<sim::ProcessId>& enabled,
-              std::vector<sim::ProcessId>& out) {
+  void select(sim::PidSet enabled, sim::MutablePidSet chosen) {
     switch (kind_) {
       case SchedulerKind::kSynchronous:
-        synchronous_.select(enabled, out);
+        synchronous_.select(enabled, chosen);
         return;
       case SchedulerKind::kRoundRobin:
-        round_robin_.select(enabled, out);
+        round_robin_.select(enabled, chosen);
         return;
       case SchedulerKind::kRandomSingle:
-        random_single_.select(enabled, out);
+        random_single_.select(enabled, chosen);
         return;
       case SchedulerKind::kRandomSubset:
-        random_subset_.select(enabled, out);
+        random_subset_.select(enabled, chosen);
         return;
       case SchedulerKind::kConvoy:
-        convoy_.select(enabled, out);
+        convoy_.select(enabled, chosen);
         return;
     }
     HRING_ASSERT(false);
@@ -122,27 +119,25 @@ class BatchScheduler {
   sim::ConvoyScheduler convoy_;
 };
 
-/// Completed cell, reported by BatchRunner::step_all. `stats` points into
-/// the runner and stays valid until the producing slot is re-activated.
+/// A completed cell, returned by BatchRunner::run. `stats` points into the
+/// runner and stays valid until its next run().
 struct BatchCellResult {
-  std::size_t cell = 0;
   sim::Outcome outcome = sim::Outcome::kDeadlock;
   std::optional<sim::ProcessId> leader;
   bool verified = false;
   const sim::Stats* stats = nullptr;
 };
 
-/// Arena-wide configuration; every cell of a campaign shares it.
+/// Runner-wide configuration; every cell of a campaign shares it.
 struct BatchConfig {
-  std::size_t slots = 64;
-  /// Ring size — fixed across the batch (campaigns sweep seeds, not n).
+  /// Ring size — fixed across the campaign (campaigns sweep seeds, not n).
   std::size_t n = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
   std::uint64_t budget = 10'000'000;
   /// Check the terminal configuration (§II bullets) per cell.
   bool verify = true;
   /// With verify: also require the elected process to be the precomputed
-  /// expected leader passed to activate().
+  /// expected leader passed to run().
   bool check_true_leader = false;
 };
 
@@ -152,82 +147,66 @@ struct BatchConfig {
 template <class Proc>
 class BatchRunner {
  public:
-  /// Sizes the arena: config.slots rings of config.n copies of
-  /// `prototype`, which carries the algorithm's parameters (k for A_k and
-  /// B_k).
+  /// Sizes the ring: config.n copies of `prototype`, which carries the
+  /// algorithm's parameters (k for A_k and B_k), their n links, the
+  /// enabled and chosen bitsets and the n ages.
   void configure(const BatchConfig& config, const Proc& prototype);
 
-  /// Binds a free slot to cell `cell` over `ring` (size must equal
-  /// config.n), with the cell's election seed. `expected_leader` is the
-  /// true leader to verify against (ignored unless check_true_leader).
-  void activate(std::size_t cell, const ring::LabeledRing& ring,
-                std::uint64_t election_seed,
-                std::optional<sim::ProcessId> expected_leader);
-
-  [[nodiscard]] std::size_t free_slots() const { return free_.size(); }
-  [[nodiscard]] bool has_active() const { return active_count_ > 0; }
-
-  /// One configuration step for every active slot. Cells that complete are
-  /// appended to `done` (not cleared here) and their slots freed; drain
-  /// `done` before the next activate() — each result's `stats` pointer is
-  /// valid only until its slot is re-activated.
-  void step_all(std::vector<BatchCellResult>& done);
+  /// Runs one cell to completion (or to the budget) over `ring` (size must
+  /// equal config.n) with the cell's election seed. `expected_leader` is
+  /// the true leader to verify against (ignored unless check_true_leader).
+  /// Restarts the processes and links in place, whatever state the
+  /// previous cell left them in.
+  [[nodiscard]] BatchCellResult run(
+      const ring::LabeledRing& ring, std::uint64_t election_seed,
+      std::optional<sim::ProcessId> expected_leader);
 
  private:
-  struct Slot {
-    bool active = false;
-    std::size_t cell = 0;
-    std::uint64_t step = 0;
-    std::size_t label_bits = 0;
-    sim::Stats stats;
-    BatchScheduler scheduler;
-    std::optional<sim::ProcessId> expected_leader;
-  };
-
-  [[nodiscard]] std::size_t in_link(std::size_t slot,
-                                    sim::ProcessId pid) const {
-    return slot * n_ + (pid == 0 ? n_ - 1 : pid - 1);
-  }
-  [[nodiscard]] std::size_t out_link(std::size_t slot,
-                                     sim::ProcessId pid) const {
-    return slot * n_ + pid;
+  [[nodiscard]] std::size_t in_link(sim::ProcessId pid) const {
+    return pid == 0 ? n_ - 1 : pid - 1;
   }
 
-  /// Mirrors StepEngine::step_once for one slot; false when no process is
-  /// enabled (terminal or deadlock).
-  [[nodiscard]] bool step_slot(std::size_t s);
+  /// Mirrors StepEngine::step_once; false when no process is enabled
+  /// (terminal or deadlock).
+  [[nodiscard]] bool step();
 
-  /// Node `pid`'s guard in slot `s`, evaluated from scratch.
-  [[nodiscard]] bool guard(std::size_t s, sim::ProcessId pid) const;
+  /// Node `pid`'s guard, evaluated from scratch.
+  [[nodiscard]] bool guard(sim::ProcessId pid) const {
+    const Proc& proc = procs_[pid];
+    return !proc.halted() && proc.enabled(links_.head(in_link(pid)));
+  }
 
-  /// Re-evaluates node `pid`'s guard into the slot's enabled set. A node
-  /// that is disabled gets age 0, as StepEngine::step_once gives it.
-  void refresh(std::size_t s, sim::ProcessId pid);
+  /// Re-evaluates node `pid`'s guard into the enabled set. A node that is
+  /// disabled gets age 0, as StepEngine::step_once gives it.
+  // hring-lint: hot-path
+  void refresh(sim::ProcessId pid) {
+    if (guard(pid)) {
+      enabled_[pid / 64] |= sim::pid_bit(pid);
+    } else {
+      enabled_[pid / 64] &= ~sim::pid_bit(pid);
+      age_[pid] = 0;
+    }
+  }
 
-  /// True iff slot `s` halted cleanly: all nodes halted, all links empty.
-  [[nodiscard]] bool slot_is_clean(std::size_t s) const;
+  /// True iff the ring halted cleanly: all nodes halted, all links empty.
+  [[nodiscard]] bool is_clean() const;
 
-  /// Closes the slot's statistics and verifies the terminal configuration;
+  /// Closes the cell's statistics and verifies the terminal configuration;
   /// mirrors make_result + verify_election.
-  [[nodiscard]] BatchCellResult finish_slot(std::size_t s,
-                                            sim::Outcome outcome);
+  [[nodiscard]] BatchCellResult finish(
+      sim::Outcome outcome, std::optional<sim::ProcessId> expected_leader);
 
   BatchConfig config_;
   std::size_t n_ = 0;
-  std::vector<Proc> procs_;  // slots * n, slot-major
-  sim::LinkPlane links_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> age_;  // slots * n, same indexing as procs_
-  // Per-slot enabled sets: bit pid % 64 of word s * words_ + pid / 64 is
-  // node pid's guard in slot s.
-  std::size_t words_ = 0;
+  std::vector<Proc> procs_;
+  sim::LinkPlane links_;  // link pid runs from pid to pid + 1
+  std::vector<std::uint32_t> age_;
+  // The enabled and chosen sets (sim::PidSet bitsets).
   std::vector<std::uint64_t> enabled_;
-  std::vector<std::size_t> free_;   // free slot indices (LIFO)
-  std::size_t active_count_ = 0;
-  // Shared scratch for the per-slot enabled/chosen sets (one runner is
-  // single-threaded, so one pair serves every slot).
-  std::vector<sim::ProcessId> enabled_buf_;
-  std::vector<sim::ProcessId> chosen_buf_;
+  std::vector<std::uint64_t> chosen_;
+  BatchScheduler scheduler_;
+  sim::Stats stats_;
+  std::size_t label_bits_ = 0;
 };
 
 extern template class BatchRunner<election::AkProcess>;

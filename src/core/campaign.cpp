@@ -219,7 +219,17 @@ void run_scalar_cell(const SweepConfig& config, bool check_true,
   if (config.collect_telemetry) ws.registry.merge(observer.metrics());
 }
 
-/// `prototype` is the process every node of the worker's arena starts as;
+/// Calls run_cell(cell) for every cell this worker claims from `queue`.
+template <class RunCell>
+void run_claimed_cells(CellQueue& queue, const RunCell& run_cell) {
+  for (CellQueue::Span span = queue.pop(); !span.empty(); span = queue.pop()) {
+    for (std::size_t cell = span.begin; cell < span.end; ++cell) {
+      run_cell(cell);
+    }
+  }
+}
+
+/// `prototype` is the process every node of the worker's ring starts as;
 /// it carries the algorithm's parameters.
 template <class Proc>
 void run_batch_worker(const Proc& prototype, const SweepConfig& config,
@@ -227,7 +237,6 @@ void run_batch_worker(const Proc& prototype, const SweepConfig& config,
                       std::optional<sim::ProcessId> fixed_expected,
                       CellQueue& queue, WorkerState& ws) {
   BatchConfig batch_config;
-  batch_config.slots = std::max<std::size_t>(config.batch_slots, 1);
   batch_config.n = config.source.ring_size();
   batch_config.scheduler = config.election.scheduler;
   batch_config.budget = config.election.budget;
@@ -237,54 +246,29 @@ void run_batch_worker(const Proc& prototype, const SweepConfig& config,
   runner.configure(batch_config, prototype);
 
   const bool fixed = config.source.kind == RingSource::Kind::kFixed;
-  std::vector<BatchCellResult> done;
-  CellQueue::Span span;
-  std::size_t next = 0;
-  bool exhausted = false;
-  for (;;) {
-    // Refill free slots from the queue, a span of cells at a time.
-    while (runner.free_slots() > 0 && !exhausted) {
-      if (next >= span.end) {
-        span = queue.pop();
-        if (span.empty()) {
-          exhausted = true;
-          break;
-        }
-        next = span.begin;
-      }
-      const std::size_t cell = next++;
-      const CellSeeds seeds = derive_cell_seeds(config.seed, cell);
-      if (fixed) {
-        runner.activate(cell, *config.source.ring, seeds.election_seed,
-                        fixed_expected);
-      } else {
-        const ring::LabeledRing ring = make_cell_ring(
-            config.source, seeds.ring_seed, config.election.algorithm.k);
-        std::optional<sim::ProcessId> expected;
-        if (check_true) expected = ring.true_leader();
-        runner.activate(cell, ring, seeds.election_seed, expected);
-      }
+  run_claimed_cells(queue, [&](std::size_t cell) {
+    const CellSeeds seeds = derive_cell_seeds(config.seed, cell);
+    BatchCellResult result;
+    if (fixed) {
+      result = runner.run(*config.source.ring, seeds.election_seed,
+                          fixed_expected);
+    } else {
+      const ring::LabeledRing ring = make_cell_ring(
+          config.source, seeds.ring_seed, config.election.algorithm.k);
+      std::optional<sim::ProcessId> expected;
+      if (check_true) expected = ring.true_leader();
+      result = runner.run(ring, seeds.election_seed, expected);
     }
-    if (!runner.has_active()) break;
-    done.clear();
-    runner.step_all(done);
-    for (const BatchCellResult& r : done) {
-      const CellSeeds seeds = derive_cell_seeds(config.seed, r.cell);
-      ws.record_cell(config, r.cell, seeds.election_seed, r.outcome,
-                     r.leader, *r.stats, r.verified);
-    }
-  }
+    ws.record_cell(config, cell, seeds.election_seed, result.outcome,
+                   result.leader, *result.stats, result.verified);
+  });
 }
 
 void run_scalar_worker(const SweepConfig& config, bool check_true,
                        CellQueue& queue, WorkerState& ws) {
-  for (;;) {
-    const CellQueue::Span span = queue.pop();
-    if (span.empty()) return;
-    for (std::size_t cell = span.begin; cell < span.end; ++cell) {
-      run_scalar_cell(config, check_true, cell, ws);
-    }
-  }
+  run_claimed_cells(queue, [&](std::size_t cell) {
+    run_scalar_cell(config, check_true, cell, ws);
+  });
 }
 
 }  // namespace

@@ -8,12 +8,13 @@
 //
 // Backends. Cells execute either on the scalar engine (run_election, one
 // recycled StepEngine/EventEngine per worker thread) or on the batch
-// engine (core/batch_engine.hpp, `batch_slots` rings stepped per arena).
-// The batch backend runs every algorithm on the step engine; kAuto picks
-// it whenever it applies (no event engine, observers or per-cell
-// telemetry) and the scalar engine otherwise, and both produce
-// byte-identical per-cell Stats (the batch engine's correctness
-// obligation — tests/integration/batch_engine_test).
+// engine (core/batch_engine.hpp, one recycled ring per worker, each cell
+// stepped to completion before the next starts). The batch backend runs
+// every algorithm on the step engine; kAuto picks it whenever it applies
+// (no event engine, observers or per-cell telemetry) and the scalar
+// engine otherwise, and both produce byte-identical per-cell Stats (the
+// batch engine's correctness obligation —
+// tests/integration/batch_engine_test).
 //
 // Campaigns measure; they do not monitor. run_election's SpecMonitor (and
 // extra observers) exist for debugging single runs — a campaign forces
@@ -25,7 +26,7 @@
 // Determinism. Every cell derives its ring and election seeds from
 // (SweepConfig::seed, cell index) alone — derive_cell_seeds in
 // core/election_driver.hpp — so each cell is reproducible in isolation and
-// the merged result is invariant under worker count, batch slot count and
+// the merged result is invariant under worker count, queue grain and
 // scheduling of the queue (campaign histograms record integers, whose
 // double sums stay exact far beyond any realistic campaign size).
 #pragma once
@@ -129,8 +130,6 @@ struct SweepConfig {
   /// the per-run registries into CampaignResult::metrics (the CLI's
   /// --metrics-out semantics). Forces the scalar backend under kAuto.
   bool collect_telemetry = false;
-  /// Rings stepped concurrently per batch-backend worker.
-  std::size_t batch_slots = 64;
   /// Cells per queue claim; 0 = auto (see CellQueue).
   std::size_t queue_grain = 0;
   /// Optional per-cell callback, invoked once per cell from the worker

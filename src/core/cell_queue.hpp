@@ -3,9 +3,16 @@
 // A campaign is an indexed set of independent cells [0, cells). Workers
 // claim contiguous spans with one atomic fetch_add — wait-free, no locks,
 // no per-cell allocation — and run every cell of a claimed span before
-// claiming again. Spans rather than single indices: at a million
-// elections per second, claiming a cache line of cells at a time keeps the
-// atomic off the per-election path while preserving dynamic load balance.
+// claiming again.
+//
+// Claims are small. A campaign ends when its last claim does, and while
+// one worker runs that claim the others have nothing left to take, so the
+// tail costs up to one claim's worth of time on every other worker. The
+// automatic grain gives each worker about 64 claims and caps a claim at 64
+// cells: sweep-ak's 4,096 cells on two workers claim 32 at a time, and the
+// final claim is that small. At a few microseconds per election, one
+// fetch_add per few dozen cells still keeps the atomic off the
+// per-election path.
 //
 // Because cells are identified by index and every cell derives its
 // randomness from (campaign seed, index) alone (derive_cell_seeds), the
@@ -31,15 +38,19 @@ class CellQueue {
     [[nodiscard]] bool empty() const { return begin == end; }
   };
 
+  /// Largest automatic grain.
+  static constexpr std::size_t kMaxAutoGrain = 64;
+
   /// Queue over [0, cells). `grain` is the number of cells per claim; 0
-  /// picks a grain that gives each worker several claims (dynamic load
-  /// balance) without contending on every cell.
+  /// picks cells / (64 · workers), clamped to [1, kMaxAutoGrain]: about
+  /// 64 claims per worker, so the last claim of a campaign is at most a
+  /// sixty-fourth of a worker's share (see the header comment).
   CellQueue(std::size_t cells, std::size_t workers, std::size_t grain = 0)
       : cells_(cells), grain_(grain) {
     if (grain_ == 0) {
-      const std::size_t per_worker =
-          cells_ / (std::max<std::size_t>(workers, 1) * 8);
-      grain_ = std::clamp<std::size_t>(per_worker, 1, 1024);
+      const std::size_t per_claim =
+          cells_ / (std::max<std::size_t>(workers, 1) * 64);
+      grain_ = std::clamp<std::size_t>(per_claim, 1, kMaxAutoGrain);
     }
     HRING_ENSURES(grain_ >= 1);
   }

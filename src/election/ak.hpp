@@ -80,7 +80,7 @@ class AkProcess final : public Process {
   }
 
   /// Rebinds the process to (pid, id) in its initial state. Buffers keep
-  /// their capacity, so the batch engine's recycled slots stay
+  /// their capacity, so the batch engine's recycled ring stays
   /// allocation-free.
   void restart(ProcessId pid, Label id);
 

@@ -125,7 +125,7 @@ class BkProcess final : public Process {
   }
 
   /// Rebinds the process to (pid, id) in its initial state. The phase
-  /// history keeps its capacity, so the batch engine's recycled slots stay
+  /// history keeps its capacity, so the batch engine's recycled ring stays
   /// allocation-free.
   void restart(ProcessId pid, Label id);
 

@@ -51,7 +51,7 @@ class LeLannProcess final : public Process {
                             const std::uint64_t* end) override;
 
   /// Rebinds the process to (pid, id) in its initial state (batch-engine
-  /// slot reuse).
+  /// per-cell restart).
   void restart(ProcessId pid, Label id) {
     restart_spec(pid, id);
     init_ = true;

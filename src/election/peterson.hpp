@@ -70,7 +70,7 @@ class PetersonProcess final : public Process {
                             const std::uint64_t* end) override;
 
   /// Rebinds the process to (pid, id) in its initial state (batch-engine
-  /// slot reuse).
+  /// per-cell restart).
   void restart(ProcessId pid, Label id) {
     restart_spec(pid, id);
     expecting_second_ = false;

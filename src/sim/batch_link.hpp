@@ -1,7 +1,7 @@
-// Batched FIFO links: every link of every ring in a batch, one arena.
+// Batched FIFO links: every link of a ring in one arena.
 //
-// The batch engine (core/batch_engine.hpp) steps hundreds of independent
-// rings at once; giving each of their n links its own heap-backed Link
+// The batch engine (core/batch_engine.hpp) restarts one ring per worker
+// for cell after cell; giving each of its n links its own heap-backed Link
 // would scatter the hot state across allocations. LinkPlane instead packs
 // all `links` queues into one contiguous buffer with a fixed power-of-two
 // stride per link, plus dense head/count/high-water planes — the same
@@ -31,7 +31,7 @@ class LinkPlane {
   void reset(std::size_t links, std::size_t min_capacity = 8);
 
   /// Rewinds one link to empty (queue, high-water mark), keeping the
-  /// stride — the per-slot recycle when a batch cell completes.
+  /// stride — the per-cell restart of the batch engine's ring.
   void reset_link(std::size_t link) {
     HRING_EXPECTS(link < links_);
     head_[link] = 0;

@@ -117,7 +117,9 @@ StepEngine::StepEngine(const ring::LabeledRing& ring,
     : ExecutionCore(ring, factory),
       scheduler_(&scheduler),
       config_(config),
-      age_(ring.size(), 0) {}
+      age_(ring.size(), 0),
+      enabled_(pid_set_words(ring.size()), 0),
+      chosen_(pid_set_words(ring.size()), 0) {}
 
 void StepEngine::prepare(const ring::LabeledRing& ring,
                          const ProcessFactory& factory, Scheduler& scheduler,
@@ -126,6 +128,8 @@ void StepEngine::prepare(const ring::LabeledRing& ring,
   scheduler_ = &scheduler;
   config_ = config;
   age_.assign(ring.size(), 0);
+  enabled_.assign(pid_set_words(ring.size()), 0);
+  chosen_.assign(pid_set_words(ring.size()), 0);
 }
 
 RunResult StepEngine::run() {
@@ -151,47 +155,35 @@ bool StepEngine::step_once() {
   // Enabled set in the current configuration γ. In the step engine every
   // queued message is deliverable (infinite `now`).
   constexpr double kNow = std::numeric_limits<double>::infinity();
-  enabled_buf_.clear();
+  std::fill(enabled_.begin(), enabled_.end(), 0);
+  bool any_enabled = false;
   for (ProcessId pid = 0; pid < process_count(); ++pid) {
     const Process& proc = process(pid);
     if (!proc.halted() && proc.enabled(deliverable_head(pid, kNow))) {
-      enabled_buf_.push_back(pid);
+      enabled_[pid / 64] |= pid_bit(pid);
+      any_enabled = true;
     } else {
       age_[pid] = 0;
     }
   }
-  if (enabled_buf_.empty()) return false;
+  if (!any_enabled) return false;
 
-  chosen_buf_.clear();
-  // Fair activation: force any process continuously enabled for the bound.
-  for (const ProcessId pid : enabled_buf_) {
-    if (age_[pid] >= kFairnessBound) chosen_buf_.push_back(pid);
-  }
-  scheduler_->select(enabled_buf_, chosen_buf_);
-  std::sort(chosen_buf_.begin(), chosen_buf_.end());
-  chosen_buf_.erase(std::unique(chosen_buf_.begin(), chosen_buf_.end()),
-                    chosen_buf_.end());
-  HRING_ASSERT(!chosen_buf_.empty());
+  // The forced set (fair activation) with the daemon's picks ORed in.
+  choose_step(*scheduler_, enabled_, age_, chosen_);
 
-  // Execute the chosen processes. Firing order within a step is
-  // immaterial: a process only pops its own in-link head (fixed in γ) and
-  // only appends to its out-link tail, so each firing sees exactly the
-  // state γ prescribed for it.
+  // Execute the chosen processes, in ascending pid order. Firing order
+  // within a step is immaterial: a process only pops its own in-link head
+  // (fixed in γ) and only appends to its out-link tail, so each firing
+  // sees exactly the state γ prescribed for it.
   const auto send_ready = [](ProcessId) { return 0.0; };
-  for (const ProcessId pid : chosen_buf_) {
+  for_each_pid(chosen_, [&](ProcessId pid) {
     const Message* head = deliverable_head(pid, kNow);
     const Process& proc = process(pid);
     HRING_ASSERT(!proc.halted());
     HRING_ASSERT(proc.enabled(head));
     fire_process(pid, head, send_ready);
     age_[pid] = 0;
-  }
-  // Age the enabled-but-skipped processes.
-  for (const ProcessId pid : enabled_buf_) {
-    if (!std::binary_search(chosen_buf_.begin(), chosen_buf_.end(), pid)) {
-      ++age_[pid];
-    }
-  }
+  });
   ++step_;
   stats_.steps = step_;
   // Under the synchronous daemon each step is one normalized time unit;

@@ -260,11 +260,6 @@ bool ExecutionCore::fire_process(ProcessId pid, const Message* head,
   return ctx.consumed();
 }
 
-/// A process continuously enabled for this many steps is force-included
-/// in the next step (the model's fair activation). The batch engine
-/// (core/batch_engine.hpp) ages its slots by the same bound.
-inline constexpr std::size_t kFairnessBound = 128;
-
 /// Step-engine tuning knobs.
 struct StepConfig {
   /// Budget on configuration steps before giving up (livelock guard).
@@ -296,9 +291,10 @@ class StepEngine final : public ExecutionCore {
 
   Scheduler* scheduler_ = nullptr;
   StepConfig config_;
-  std::vector<std::size_t> age_;  // consecutive steps enabled without firing
-  std::vector<ProcessId> enabled_buf_;
-  std::vector<ProcessId> chosen_buf_;
+  std::vector<std::uint32_t> age_;  // consecutive steps enabled without firing
+  // The step's enabled and chosen sets (PidSet bitsets), sized per ring.
+  std::vector<std::uint64_t> enabled_;
+  std::vector<std::uint64_t> chosen_;
 };
 
 }  // namespace hring::sim

@@ -107,8 +107,8 @@ class Process {
   [[nodiscard]] virtual bool halted() const { return halted_; }
 
  protected:
-  /// Copying is reserved for subclasses: BatchRunner's arena
-  /// (core/batch_engine.hpp) copies its prototype process.
+  /// Copying is reserved for subclasses: BatchRunner
+  /// (core/batch_engine.hpp) copies its prototype process into its ring.
   Process(const Process&) = default;
 
   /// Restores the spec variables written by the base encode(); decode()

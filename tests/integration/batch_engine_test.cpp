@@ -2,11 +2,11 @@
 // Stats against the scalar StepEngine for every covered configuration.
 //
 // A campaign is run twice over the same cell grid — once on the batch
-// backend (several rings interleaved per arena, to exercise slot
-// recycling) and once on the scalar backend — and every per-cell field
-// is compared, including the full sim::Stats (defaulted operator==, so
-// any divergence in steps, actions, message/bit accounting, space peaks
-// or label-comparison counts fails the grid cell that produced it).
+// backend (each worker restarts one ring for cell after cell) and once on
+// the scalar backend — and every per-cell field is compared, including
+// the full sim::Stats (defaulted operator==, so any divergence in steps,
+// actions, message/bit accounting, space peaks or label-comparison counts
+// fails the grid cell that produced it).
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,7 +78,6 @@ TEST(BatchEngineCrossCheck, AkGridMatchesScalarEngine) {
         config.cells = 5;
         config.seed = 0xA5EED + 1000 * k + 10 * n +
                       static_cast<std::uint64_t>(scheduler);
-        config.batch_slots = 3;  // fewer slots than cells: recycle slots
         config.check_true_leader = true;
 
         const auto batch = run_cells(config, CampaignBackend::kBatch, 2);
@@ -105,7 +104,6 @@ TEST(BatchEngineCrossCheck, ChangRobertsGridMatchesScalarEngine) {
       config.source = core::RingSource::distinct(n);
       config.cells = 5;
       config.seed = 0xC5EED + 10 * n + static_cast<std::uint64_t>(scheduler);
-      config.batch_slots = 2;
 
       const auto batch = run_cells(config, CampaignBackend::kBatch, 2);
       const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
@@ -131,7 +129,6 @@ TEST(BatchEngineCrossCheck, BkGridMatchesScalarEngine) {
         config.cells = 5;
         config.seed = 0xB5EED + 1000 * k + 10 * n +
                       static_cast<std::uint64_t>(scheduler);
-        config.batch_slots = 3;  // fewer slots than cells: recycle slots
         config.check_true_leader = true;
 
         const auto batch = run_cells(config, CampaignBackend::kBatch, 2);
@@ -159,7 +156,6 @@ void expect_distinct_grid_matches(AlgorithmId id, std::uint64_t seed) {
       config.source = core::RingSource::distinct(n);
       config.cells = 5;
       config.seed = seed + 10 * n + static_cast<std::uint64_t>(scheduler);
-      config.batch_slots = 2;
 
       const auto batch = run_cells(config, CampaignBackend::kBatch, 2);
       const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
@@ -184,8 +180,8 @@ TEST(BatchEngineCrossCheck, PetersonGridMatchesScalarEngine) {
 }
 
 TEST(BatchEngineCrossCheck, RingsWiderThanOneBitsetWordMatchScalarEngine) {
-  // n = 70 spans two words of a slot's enabled set; three cells on two
-  // slots also recycle a slot over the multi-word layout. B_k under the
+  // n = 70 spans two words of the enabled set; three cells on one worker
+  // also restart the ring over the multi-word layout. B_k under the
   // convoy daemon starves nodes past the fairness bound here, so this is
   // also the grid's case of forced picks.
   const election::AlgorithmConfig algorithms[] = {
@@ -200,7 +196,6 @@ TEST(BatchEngineCrossCheck, RingsWiderThanOneBitsetWordMatchScalarEngine) {
       config.source = core::RingSource::distinct(70);
       config.cells = 3;
       config.seed = 0x70EED + static_cast<std::uint64_t>(scheduler);
-      config.batch_slots = 2;
 
       const auto batch = run_cells(config, CampaignBackend::kBatch, 1);
       const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
@@ -238,9 +233,9 @@ TEST(BatchEngineCrossCheck, BudgetExhaustionMatchesScalarEngine) {
 }
 
 TEST(BatchEngineCrossCheck, TruncatedSlotsRecycleCleanly) {
-  // One slot: every cell after the first starts on the slot a truncated
-  // cell left mid-election, with grown strings, queued tokens and half-set
-  // spec variables. Recycling must leave no trace of that run.
+  // Every cell after the first starts on the ring a truncated cell left
+  // mid-election, with grown strings, queued tokens and half-set spec
+  // variables. Restarting it must leave no trace of that run.
   for (const std::uint64_t budget : {3U, 12U, 20U}) {
     SweepConfig config;
     config.election.algorithm = {AlgorithmId::kAk, 2, false};
@@ -249,7 +244,6 @@ TEST(BatchEngineCrossCheck, TruncatedSlotsRecycleCleanly) {
     config.source = core::RingSource::random_asymmetric(6);
     config.cells = 8;
     config.seed = 0x7E5C + budget;
-    config.batch_slots = 1;
     config.verify = false;  // truncated runs have no terminal state to check
 
     const auto batch = run_cells(config, CampaignBackend::kBatch, 1);
@@ -264,7 +258,7 @@ TEST(BatchEngineCrossCheck, TruncatedSlotsRecycleCleanly) {
 
 TEST(BatchEngineCrossCheck, BkTruncatedSlotsRecycleCleanly) {
   // As above for B_k: budgets that stop mid-phase leave guests, counters,
-  // half-set phase state and queued barrier messages behind in the slot.
+  // half-set phase state and queued barrier messages behind in the ring.
   for (const std::uint64_t budget : {3U, 12U, 40U, 90U}) {
     SweepConfig config;
     config.election.algorithm = {AlgorithmId::kBk, 2, false};
@@ -273,7 +267,6 @@ TEST(BatchEngineCrossCheck, BkTruncatedSlotsRecycleCleanly) {
     config.source = core::RingSource::random_asymmetric(6);
     config.cells = 8;
     config.seed = 0xB7E5C + budget;
-    config.batch_slots = 1;
     config.verify = false;  // truncated runs have no terminal state to check
 
     const auto batch = run_cells(config, CampaignBackend::kBatch, 1);
@@ -294,7 +287,6 @@ TEST(BatchEngineCrossCheck, FixedRingSourceMatchesScalarEngine) {
   config.source = core::RingSource::fixed(ring);
   config.cells = 12;
   config.seed = 0xF15ED;
-  config.batch_slots = 4;
   config.check_true_leader = true;
 
   const auto batch = run_cells(config, CampaignBackend::kBatch, 2);

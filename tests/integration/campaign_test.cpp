@@ -1,7 +1,9 @@
-// Campaign semantics: worker-count and batch-slot invariance, the
+// Campaign semantics: worker-count and queue-grain invariance, the
 // one-seed determinism contract, backend resolution, cell streaming and
 // exception propagation out of the workers.
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -66,19 +68,100 @@ TEST(CampaignTest, MergedResultIsInvariantUnderWorkerCount) {
   }
 }
 
-TEST(CampaignTest, MergedResultIsInvariantUnderBatchSlotsAndGrain) {
+TEST(CampaignTest, MergedResultIsInvariantUnderGrainAndWorkers) {
   SweepConfig config = ak_campaign();
   config.backend = CampaignBackend::kBatch;
   config.workers = 2;
   const auto reference = core::run_campaign(config);
   const std::string reference_json = registry_json(reference.metrics);
 
-  for (const std::size_t slots : {1u, 3u, 64u}) {
-    config.batch_slots = slots;
-    config.queue_grain = slots == 3 ? 1 : 0;
-    const auto run = core::run_campaign(config);
-    EXPECT_EQ(registry_json(run.metrics), reference_json)
-        << "batch_slots=" << slots;
+  // One cell per claim, the automatic grain (0), and the whole campaign as
+  // one claim (every other worker then idles).
+  const std::size_t grains[] = {1, 0, config.cells};
+  for (const std::size_t grain : grains) {
+    for (const std::size_t workers : {1u, 2u, 3u}) {
+      config.queue_grain = grain;
+      config.workers = workers;
+      const auto run = core::run_campaign(config);
+      EXPECT_EQ(registry_json(run.metrics), reference_json)
+          << "grain=" << grain << " workers=" << workers;
+    }
+  }
+}
+
+/// FNV-1a over every field of every cell's Stats, in cell order.
+std::uint64_t stats_digest(const std::vector<sim::Stats>& cells) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (const sim::Stats& s : cells) {
+    mix(s.steps);
+    mix(s.actions);
+    mix(std::bit_cast<std::uint64_t>(s.time_units));
+    mix(s.messages_sent);
+    mix(s.messages_received);
+    for (const auto v : s.sent_by_process) mix(v);
+    for (const auto v : s.received_by_process) mix(v);
+    for (const auto v : s.sent_by_kind) mix(v);
+    for (const auto v : s.received_by_kind) mix(v);
+    mix(s.message_bits_sent);
+    mix(s.peak_space_bits);
+    mix(s.peak_link_occupancy);
+    mix(s.label_comparisons);
+    mix(s.faults_injected);
+  }
+  return h;
+}
+
+TEST(CampaignTest, PerCellStatsUnderEveryDaemonAreFixed) {
+  // Both engines run the same daemons, so the batch-vs-scalar grid cannot
+  // see a changed pick: these digests pin each daemon's A_2 and B_2
+  // executions on 64 random asymmetric n = 8 rings at fixed values.
+  struct Golden {
+    core::SchedulerKind scheduler;
+    std::uint64_t ak;
+    std::uint64_t bk;
+  };
+  const Golden goldens[] = {
+      {core::SchedulerKind::kSynchronous, 0x19ca5b520915b88dULL,
+       0xa3ee8ad8f27240f7ULL},
+      {core::SchedulerKind::kRoundRobin, 0xc42b7cf35c747d68ULL,
+       0x471cfbae6a9d47b9ULL},
+      {core::SchedulerKind::kRandomSingle, 0x92240d3c43ac1fc5ULL,
+       0xd6603413f49faf49ULL},
+      {core::SchedulerKind::kRandomSubset, 0xc85b692a1ca9befbULL,
+       0x1815c97312b55ffaULL},
+      {core::SchedulerKind::kConvoy, 0x25a7f9a9a6ee3af8ULL,
+       0x5d8a719417aca76fULL},
+  };
+  for (const Golden& golden : goldens) {
+    for (const AlgorithmId id : {AlgorithmId::kAk, AlgorithmId::kBk}) {
+      for (const auto backend :
+           {CampaignBackend::kBatch, CampaignBackend::kScalar}) {
+        SweepConfig config;
+        config.election.algorithm = {id, 2, false};
+        config.election.scheduler = golden.scheduler;
+        config.source = core::RingSource::random_asymmetric(8);
+        config.cells = 64;
+        config.seed = 0x60D5EED;
+        config.workers = 2;
+        config.backend = backend;
+        config.check_true_leader = true;
+        std::vector<sim::Stats> cells(config.cells);
+        config.cell_sink = [&cells](const core::CellView& view) {
+          cells[view.cell] = view.stats;
+        };
+        const auto result = core::run_campaign(config);
+        EXPECT_TRUE(result.all_verified());
+        EXPECT_EQ(stats_digest(cells),
+                  id == AlgorithmId::kAk ? golden.ak : golden.bk)
+            << election::algorithm_name(id) << " "
+            << core::scheduler_kind_name(golden.scheduler) << " "
+            << core::campaign_backend_name(backend);
+      }
+    }
   }
 }
 

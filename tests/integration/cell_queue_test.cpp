@@ -3,6 +3,7 @@
 // under any interleaving of concurrent pops.
 #include "core/cell_queue.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -54,11 +55,34 @@ TEST(CellQueue, ConcurrentPopsClaimEveryCellExactlyOnce) {
 }
 
 TEST(CellQueue, AutoGrainScalesWithCellsPerWorker) {
-  // grain 0 = auto: cells / (8 * workers), clamped to [1, 1024].
+  // grain 0 = auto: cells / (64 * workers), clamped to [1, 64].
   EXPECT_EQ(CellQueue(16, 4, 0).grain(), 1u);
-  EXPECT_EQ(CellQueue(1'000'000, 2, 0).grain(), 1024u);
-  const std::size_t mid = CellQueue(6'400, 4, 0).grain();
-  EXPECT_EQ(mid, 200u);
+  EXPECT_EQ(CellQueue(1'000'000, 2, 0).grain(), 64u);
+  EXPECT_EQ(CellQueue(6'400, 4, 0).grain(), 25u);
+  EXPECT_EQ(CellQueue(4'096, 2, 0).grain(), 32u);
+}
+
+TEST(CellQueue, AutoGrainKeepsTheLastClaimSmall) {
+  // While one worker runs a campaign's last claim the others idle, so the
+  // automatic grain promises a last claim of at most a sixty-fourth of a
+  // worker's share (at least one cell), and never more than 64 cells.
+  for (const std::size_t workers : {1u, 2u, 3u, 4u, 16u}) {
+    for (const std::size_t cells :
+         {1u, 63u, 64u, 1'000u, 2'048u, 4'096u, 10'007u, 1'000'000u}) {
+      CellQueue queue(cells, workers, 0);
+      const std::size_t bound = std::min<std::size_t>(
+          CellQueue::kMaxAutoGrain,
+          std::max<std::size_t>(1, cells / (64 * workers)));
+      CellQueue::Span last;
+      for (auto span = queue.pop(); !span.empty(); span = queue.pop()) {
+        last = span;
+      }
+      EXPECT_EQ(last.end, cells);
+      EXPECT_GE(last.end - last.begin, 1u);
+      EXPECT_LE(last.end - last.begin, bound)
+          << cells << " cells, " << workers << " workers";
+    }
+  }
 }
 
 TEST(CellQueue, EmptyQueueYieldsEmptySpans) {
