@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
     // Action census on the Figure 1 ring: Table 2 is the whole program.
     const auto fig1 = ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1,
                                                       2});
-    sim::SynchronousScheduler sched;
-    sim::StepEngine engine(fig1, election::BkProcess::factory(3), sched);
+    sim::StepEngine engine(fig1, election::BkProcess::factory(3),
+                           sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
     sim::TraceRecorder trace;
     engine.add_observer(&trace);
     engine.run();

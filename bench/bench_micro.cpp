@@ -12,9 +12,10 @@
 #include "core/model_checker.hpp"
 #include "ring/generator.hpp"
 #include "telemetry/telemetry_observer.hpp"
+#include "tests/words/reference.hpp"
+#include "tests/words/zfunction.hpp"
 #include "words/lyndon.hpp"
 #include "words/periodicity.hpp"
-#include "words/zfunction.hpp"
 
 namespace {
 

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   benchutil::footer(
       format,
       "\nthe batch engine restarts one ring per worker in place for each "
-      "cell (its processes,\none LinkPlane) and amortizes every "
+      "cell (its processes,\nits links) and amortizes every "
       "per-cell fixed cost; the committed reference series lives\nin "
       "BENCH_sweep.json (schema: docs/REPRODUCING.md).\n");
   return 0;

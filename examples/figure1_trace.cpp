@@ -10,6 +10,8 @@
 //   $ ./figure1_trace [trace.json]
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "election/bk.hpp"
@@ -28,9 +30,9 @@ int main(int argc, char** argv) {
   std::cout << "B_" << k << " on ring " << ring.to_string()
             << " (Figure 1 of the paper)\n\n";
 
-  sim::SynchronousScheduler sched;
   sim::StepEngine engine(
-      ring, election::BkProcess::factory(k, /*record_history=*/true), sched);
+      ring, election::BkProcess::factory(k, /*record_history=*/true),
+      sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   telemetry::TelemetryObserver telemetry_observer;
   engine.add_observer(&telemetry_observer);
   const auto result = engine.run();
@@ -52,7 +54,9 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> headers = {"phase"};
   for (sim::ProcessId pid = 0; pid < ring.size(); ++pid) {
-    headers.push_back("p" + std::to_string(pid));
+    std::string header = "p";
+    header += std::to_string(pid);
+    headers.push_back(std::move(header));
   }
   support::Table table(headers);
   for (std::size_t phase = 1; phase <= max_phase; ++phase) {

@@ -14,7 +14,7 @@ void BatchRunner<Proc>::configure(const BatchConfig& config,
   // Processes are copy-constructible but not assignable (sim::Process), so
   // the ring is built anew rather than assign()ed.
   procs_ = std::vector<Proc>(n_, prototype);
-  links_.reset(n_);
+  links_.assign(n_, sim::Link{});
   age_.assign(n_, 0);
   enabled_.assign(sim::pid_set_words(n_), 0);
   chosen_.assign(sim::pid_set_words(n_), 0);
@@ -36,11 +36,12 @@ bool BatchRunner<Proc>::step() {
     // the in-link — but only by appending, never by popping another
     // process's head, so the head seen here is the one γ prescribes
     // (same argument as StepEngine::step_once).
-    const sim::Message* head = links_.head(in_link(pid));
+    sim::Link& in = links_[in_link(pid)];
+    const sim::Message* head = in.head();
     HRING_ASSERT(!proc.halted());
     HRING_ASSERT(proc.enabled(head));
-    election::BatchFireContext ctx(stats_, links_, in_link(pid), pid, pid,
-                                   label_bits_, head);
+    election::BatchFireContext ctx(stats_, in, links_[pid], pid, label_bits_,
+                                   head);
     proc.fire(head, ctx);
     ++stats_.actions;
     stats_.peak_space_bits =
@@ -66,8 +67,8 @@ bool BatchRunner<Proc>::is_clean() const {
   for (const Proc& proc : procs_) {
     if (!proc.halted()) return false;
   }
-  for (std::size_t link = 0; link < n_; ++link) {
-    if (!links_.empty(link)) return false;
+  for (const sim::Link& link : links_) {
+    if (!link.empty()) return false;
   }
   return true;
 }
@@ -79,11 +80,11 @@ BatchCellResult BatchRunner<Proc>::run(
   HRING_EXPECTS(ring.size() == n_);
   label_bits_ = ring.label_bits();
   stats_.reset(n_);
-  scheduler_.reset(config_.scheduler, election_seed);
+  scheduler_ = sim::Scheduler(config_.scheduler, election_seed);
   for (sim::ProcessId pid = 0; pid < n_; ++pid) {
     Proc& proc = procs_[pid];
     proc.restart(pid, ring.label(pid));
-    links_.reset_link(pid);
+    links_[pid].reset();
     age_[pid] = 0;
     // Initial-space accounting, as in ExecutionCore::begin_run.
     stats_.peak_space_bits =
@@ -109,9 +110,9 @@ BatchCellResult BatchRunner<Proc>::finish(
     sim::Outcome outcome, std::optional<sim::ProcessId> expected_leader) {
   // Close the statistics (make_result's epilogue).
   stats_.label_comparisons = sim::Label::comparison_count();
-  for (std::size_t link = 0; link < n_; ++link) {
+  for (const sim::Link& link : links_) {
     stats_.peak_link_occupancy =
-        std::max(stats_.peak_link_occupancy, links_.high_water(link));
+        std::max(stats_.peak_link_occupancy, link.high_water());
   }
 
   if (outcome != sim::Outcome::kBudgetExhausted) {

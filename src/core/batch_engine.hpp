@@ -2,14 +2,15 @@
 //
 // The scalar StepEngine runs one ring at a time over heap-allocated
 // Process objects. A campaign runs millions of small rings, where the
-// per-cell fixed costs (process construction, engine rebinding, scheduler
-// allocation) dominate the handful of microseconds the election itself
-// takes. BatchRunner amortizes them away: it holds one ring of n process
-// objects, its n links (a LinkPlane), the enabled and chosen bitsets and n
-// ages, and run() steps one cell to completion on them. Each run()
-// restarts the ring in place for its cell, whatever the previous cell left
-// behind: restart() rebinds the processes to the new ring keeping their
-// buffers, so the runner allocates nothing once it has warmed up.
+// per-cell fixed costs (process construction, engine rebinding) dominate
+// the handful of microseconds the election itself takes. BatchRunner
+// amortizes them away: it holds one ring of n process objects, its n
+// sim::Links, the enabled and chosen bitsets, n ages and one
+// sim::Scheduler, and run() steps one cell to completion on them. Each
+// run() restarts the ring in place for its cell, whatever the previous
+// cell left behind: restart() rebinds the processes to the new ring and
+// Link::reset() empties the links, both keeping their buffers, so the
+// runner allocates nothing once it has warmed up.
 //
 // The runner runs the processes' own actions. The process type is a final
 // class (AkProcess, BkProcess, ChangRobertsProcess, LeLannProcess or
@@ -18,13 +19,12 @@
 // action template instantiated for election::BatchFireContext — the same
 // code every other engine runs through sim::Context. The stepping itself
 // is StepEngine::step_once's: the same sim::choose_step (fairness forcing,
-// then the daemon's picks; BatchScheduler embeds the same daemon types by
-// value) and the same ascending firing order. Per-cell Stats are therefore
-// byte-identical to a scalar run of the same (ring, config, seed) — the
-// batch-vs-scalar cross-check grid in tests/integration/batch_engine_test
-// enforces it field by field, including the Label-comparison count, which
-// both engines read off the thread-local counter they reset when a run
-// starts.
+// then the picks of the same by-value sim::Scheduler) and the same
+// ascending firing order. Per-cell Stats are therefore byte-identical to a
+// scalar run of the same (ring, config, seed) — the batch-vs-scalar
+// cross-check grid in tests/integration/batch_engine_test enforces it
+// field by field, including the Label-comparison count, which both engines
+// read off the thread-local counter they reset when a run starts.
 //
 // Only the way the enabled set is found differs. StepEngine re-evaluates
 // all n guards every step; the runner keeps the enabled set across steps
@@ -53,7 +53,7 @@
 #include "election/lelann.hpp"
 #include "election/peterson.hpp"
 #include "ring/labeled_ring.hpp"
-#include "sim/batch_link.hpp"
+#include "sim/link.hpp"
 #include "sim/run_result.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
@@ -61,63 +61,6 @@
 #include "support/rng.hpp"
 
 namespace hring::core {
-
-/// The step-engine schedulers, embedded by value and tag-dispatched — each
-/// cell re-seeds the runner's scheduler without touching the allocator
-/// (make_scheduler, by contrast, heap-allocates one per run).
-class BatchScheduler {
- public:
-  /// Re-arms the scheduler for a new cell; mirrors make_scheduler's
-  /// construction (including RandomSubset's p = 0.5).
-  void reset(SchedulerKind kind, std::uint64_t seed) {
-    kind_ = kind;
-    switch (kind) {
-      case SchedulerKind::kSynchronous:
-      case SchedulerKind::kConvoy:
-        break;  // stateless
-      case SchedulerKind::kRoundRobin:
-        round_robin_ = sim::RoundRobinScheduler();
-        break;
-      case SchedulerKind::kRandomSingle:
-        random_single_ = sim::RandomSingleScheduler(support::Rng(seed));
-        break;
-      case SchedulerKind::kRandomSubset:
-        random_subset_ =
-            sim::RandomSubsetScheduler(support::Rng(seed), 0.5);
-        break;
-    }
-  }
-
-  // hring-lint: hot-path
-  void select(sim::PidSet enabled, sim::MutablePidSet chosen) {
-    switch (kind_) {
-      case SchedulerKind::kSynchronous:
-        synchronous_.select(enabled, chosen);
-        return;
-      case SchedulerKind::kRoundRobin:
-        round_robin_.select(enabled, chosen);
-        return;
-      case SchedulerKind::kRandomSingle:
-        random_single_.select(enabled, chosen);
-        return;
-      case SchedulerKind::kRandomSubset:
-        random_subset_.select(enabled, chosen);
-        return;
-      case SchedulerKind::kConvoy:
-        convoy_.select(enabled, chosen);
-        return;
-    }
-    HRING_ASSERT(false);
-  }
-
- private:
-  SchedulerKind kind_ = SchedulerKind::kSynchronous;
-  sim::SynchronousScheduler synchronous_;
-  sim::RoundRobinScheduler round_robin_;
-  sim::RandomSingleScheduler random_single_{support::Rng(0)};
-  sim::RandomSubsetScheduler random_subset_{support::Rng(0), 0.5};
-  sim::ConvoyScheduler convoy_;
-};
 
 /// A completed cell, returned by BatchRunner::run. `stats` points into the
 /// runner and stays valid until its next run().
@@ -173,7 +116,7 @@ class BatchRunner {
   /// Node `pid`'s guard, evaluated from scratch.
   [[nodiscard]] bool guard(sim::ProcessId pid) const {
     const Proc& proc = procs_[pid];
-    return !proc.halted() && proc.enabled(links_.head(in_link(pid)));
+    return !proc.halted() && proc.enabled(links_[in_link(pid)].head());
   }
 
   /// Re-evaluates node `pid`'s guard into the enabled set. A node that is
@@ -199,12 +142,12 @@ class BatchRunner {
   BatchConfig config_;
   std::size_t n_ = 0;
   std::vector<Proc> procs_;
-  sim::LinkPlane links_;  // link pid runs from pid to pid + 1
+  std::vector<sim::Link> links_;  // link pid runs from pid to pid + 1
   std::vector<std::uint32_t> age_;
   // The enabled and chosen sets (sim::PidSet bitsets).
   std::vector<std::uint64_t> enabled_;
   std::vector<std::uint64_t> chosen_;
-  BatchScheduler scheduler_;
+  sim::Scheduler scheduler_{sim::SchedulerKind::kSynchronous, 0};
   sim::Stats stats_;
   std::size_t label_bits_ = 0;
 };

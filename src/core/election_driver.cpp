@@ -12,25 +12,6 @@
 
 namespace hring::core {
 
-std::unique_ptr<sim::Scheduler> make_scheduler(SchedulerKind kind,
-                                               std::uint64_t seed) {
-  switch (kind) {
-    case SchedulerKind::kSynchronous:
-      return std::make_unique<sim::SynchronousScheduler>();
-    case SchedulerKind::kRoundRobin:
-      return std::make_unique<sim::RoundRobinScheduler>();
-    case SchedulerKind::kRandomSingle:
-      return std::make_unique<sim::RandomSingleScheduler>(
-          support::Rng(seed));
-    case SchedulerKind::kRandomSubset:
-      return std::make_unique<sim::RandomSubsetScheduler>(support::Rng(seed),
-                                                          0.5);
-    case SchedulerKind::kConvoy:
-      return std::make_unique<sim::ConvoyScheduler>();
-  }
-  HRING_ASSERT(false);
-}
-
 namespace {
 
 std::unique_ptr<sim::DelayModel> make_delay_model(DelayKind kind,
@@ -104,11 +85,11 @@ sim::RunResult run_election(const ring::LabeledRing& ring,
   // engine without reallocating links, counters or the wake heap.
   sim::RunResult result;
   if (config.engine == EngineKind::kStep) {
-    const auto scheduler = make_scheduler(config.scheduler, config.seed);
     sim::StepConfig step_config;
     step_config.max_steps = config.budget;
     static thread_local sim::StepEngine engine;
-    engine.prepare(ring, factory, *scheduler, step_config);
+    engine.prepare(ring, factory,
+                   sim::Scheduler(config.scheduler, config.seed), step_config);
     wire(engine);
     result = engine.run();
   } else {

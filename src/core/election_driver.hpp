@@ -11,8 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <vector>
 
 #include "election/algorithm.hpp"
 #include "ring/labeled_ring.hpp"
@@ -30,13 +30,8 @@ enum class EngineKind : std::uint8_t {
   kEvent,
 };
 
-enum class SchedulerKind : std::uint8_t {
-  kSynchronous,
-  kRoundRobin,
-  kRandomSingle,
-  kRandomSubset,
-  kConvoy,
-};
+/// The step engine's daemons (sim/scheduler.hpp).
+using sim::SchedulerKind;
 
 enum class DelayKind : std::uint8_t {
   /// Every message takes the full time unit — the worst case of the
@@ -48,12 +43,6 @@ enum class DelayKind : std::uint8_t {
 
 [[nodiscard]] const char* scheduler_kind_name(SchedulerKind kind);
 [[nodiscard]] const char* delay_kind_name(DelayKind kind);
-
-/// Scheduler instance for `kind`; the randomized kinds are seeded with
-/// `seed` (deterministic: the same kind+seed replays the same schedule).
-/// Shared by run_election() and the spec auditor.
-[[nodiscard]] std::unique_ptr<sim::Scheduler> make_scheduler(
-    SchedulerKind kind, std::uint64_t seed);
 
 struct ElectionConfig {
   election::AlgorithmConfig algorithm;

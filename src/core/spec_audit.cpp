@@ -49,14 +49,21 @@ std::uint64_t state_hash(const Process& proc) {
 /// replay check compares these lines; keeping them human-readable makes
 /// the divergence report directly actionable.
 std::string firing_line(const ActionEvent& event) {
-  std::string line = "p" + std::to_string(event.pid);
+  std::string line = "p";
+  line += std::to_string(event.pid);
   if (!event.action.empty()) {
     line += ' ';
     line += event.action;
   }
-  if (event.consumed.has_value()) line += " " + to_string(*event.consumed);
+  if (event.consumed.has_value()) {
+    line += ' ';
+    line += to_string(*event.consumed);
+  }
   line += " ->";
-  for (const Message& msg : event.sent) line += " " + to_string(msg);
+  for (const Message& msg : event.sent) {
+    line += ' ';
+    line += to_string(msg);
+  }
   return line;
 }
 
@@ -93,7 +100,8 @@ class AuditObserver final : public sim::Observer {
     if (record_only_) return;
 
     const std::size_t n = view.process_count();
-    const std::string who = "p" + std::to_string(event.pid);
+    std::string who = "p";
+    who += std::to_string(event.pid);
 
     audit_fifo(event, n, who);
 
@@ -217,10 +225,10 @@ sim::RunResult run_once(sim::StepEngine& engine, const ring::LabeledRing& ring,
                         const sim::ProcessFactory& factory,
                         const SpecAuditConfig& config,
                         AuditObserver& auditor, sim::SpecMonitor* monitor) {
-  const auto scheduler = make_scheduler(config.scheduler, config.seed);
   sim::StepConfig step_config;
   step_config.max_steps = kStepBudget;
-  engine.prepare(ring, factory, *scheduler, step_config);
+  engine.prepare(ring, factory, sim::Scheduler(config.scheduler, config.seed),
+                 step_config);
   engine.add_observer(&auditor);
   if (monitor != nullptr) engine.add_observer(monitor);
   return engine.run();
@@ -237,7 +245,8 @@ std::string SpecAuditReport::summary() const {
   out += " messages=" + std::to_string(messages);
   out += " space=" + std::to_string(peak_space_bits);
   if (space_bound_bits.has_value()) {
-    out += "/" + std::to_string(*space_bound_bits);
+    out += '/';
+    out += std::to_string(*space_bound_bits);
   }
   out += " bits, msg<=" + std::to_string(peak_message_bits) + "/" +
          std::to_string(message_bits_bound) + " bits";

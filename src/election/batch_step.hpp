@@ -11,7 +11,7 @@
 #include <cstddef>
 #include <string_view>
 
-#include "sim/batch_link.hpp"
+#include "sim/link.hpp"
 #include "sim/message.hpp"
 #include "sim/process.hpp"
 #include "sim/stats.hpp"
@@ -21,15 +21,13 @@ namespace hring::election {
 
 /// Per-firing execution context of the batch engine: the accounting of the
 /// scalar FireContext (sim/engine.hpp) without observers or fault
-/// injection, over arena links instead of per-ring Link objects.
+/// injection, over the firing process's in-link and out-link.
 class BatchFireContext {
  public:
-  BatchFireContext(sim::Stats& stats, sim::LinkPlane& links,
-                   std::size_t in_link, std::size_t out_link,
+  BatchFireContext(sim::Stats& stats, sim::Link& in_link, sim::Link& out_link,
                    sim::ProcessId pid, std::size_t label_bits,
                    const sim::Message* head)
       : stats_(stats),
-        links_(links),
         in_link_(in_link),
         out_link_(out_link),
         pid_(pid),
@@ -41,7 +39,7 @@ class BatchFireContext {
     HRING_EXPECTS(head_ != nullptr);  // guard matched a message
     HRING_EXPECTS(!consumed_);        // each message received exactly once
     consumed_ = true;
-    const sim::Message msg = links_.pop(in_link_);
+    const sim::Message msg = in_link_.pop();
     // Raw-representation self-check, exactly as in the scalar engine: it
     // must not count toward the label-comparison statistic.
     HRING_ASSERT(msg.kind == head_->kind &&
@@ -58,7 +56,7 @@ class BatchFireContext {
     ++stats_.sent_by_kind[sim::kind_index(msg.kind)];
     ++stats_.sent_by_process[pid_];
     stats_.message_bits_sent += sim::message_bits(msg, label_bits_);
-    links_.push(out_link_, msg);
+    out_link_.push(msg);
   }
 
   /// Campaigns record no traces, so action labels are dropped.
@@ -66,9 +64,8 @@ class BatchFireContext {
 
  private:
   sim::Stats& stats_;
-  sim::LinkPlane& links_;
-  std::size_t in_link_;
-  std::size_t out_link_;
+  sim::Link& in_link_;
+  sim::Link& out_link_;
   sim::ProcessId pid_;
   std::size_t label_bits_;
   const sim::Message* head_;

@@ -138,18 +138,6 @@ LabeledRing unique_label_ring(std::size_t n, std::size_t k, Rng& rng) {
   return ring;
 }
 
-LabeledRing symmetric_ring(const LabelSequence& block, std::size_t reps) {
-  HRING_EXPECTS(!block.empty() && reps >= 2);
-  LabelSequence seq;
-  seq.reserve(block.size() * reps);
-  for (std::size_t r = 0; r < reps; ++r) {
-    seq.insert(seq.end(), block.begin(), block.end());
-  }
-  LabeledRing ring(std::move(seq));
-  HRING_ENSURES(!in_class_A(ring));
-  return ring;
-}
-
 std::vector<LabeledRing> enumerate_rings(std::size_t n, std::size_t alphabet,
                                          bool asymmetric_only,
                                          bool canonical_only) {

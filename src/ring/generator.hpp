@@ -48,11 +48,6 @@ using support::Rng;
 [[nodiscard]] LabeledRing unique_label_ring(std::size_t n, std::size_t k,
                                             Rng& rng);
 
-/// Symmetric ring: `block` repeated `reps` times (reps >= 2). These rings
-/// are outside A; used by negative tests.
-[[nodiscard]] LabeledRing symmetric_ring(const LabelSequence& block,
-                                         std::size_t reps);
-
 /// All label sequences of length n over alphabet {1..alphabet}, as rings.
 /// If `asymmetric_only`, symmetric labelings are skipped. If
 /// `canonical_only`, only sequences that are the least rotation of their

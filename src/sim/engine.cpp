@@ -112,20 +112,20 @@ RunResult ExecutionCore::make_result(Outcome outcome) {
 // StepEngine
 
 StepEngine::StepEngine(const ring::LabeledRing& ring,
-                       const ProcessFactory& factory, Scheduler& scheduler,
+                       const ProcessFactory& factory, Scheduler scheduler,
                        StepConfig config)
     : ExecutionCore(ring, factory),
-      scheduler_(&scheduler),
+      scheduler_(scheduler),
       config_(config),
       age_(ring.size(), 0),
       enabled_(pid_set_words(ring.size()), 0),
       chosen_(pid_set_words(ring.size()), 0) {}
 
 void StepEngine::prepare(const ring::LabeledRing& ring,
-                         const ProcessFactory& factory, Scheduler& scheduler,
+                         const ProcessFactory& factory, Scheduler scheduler,
                          StepConfig config) {
   reset_core(ring, factory);
-  scheduler_ = &scheduler;
+  scheduler_ = scheduler;
   config_ = config;
   age_.assign(ring.size(), 0);
   enabled_.assign(pid_set_words(ring.size()), 0);
@@ -133,7 +133,7 @@ void StepEngine::prepare(const ring::LabeledRing& ring,
 }
 
 RunResult StepEngine::run() {
-  HRING_EXPECTS(scheduler_ != nullptr);  // bound via ctor or prepare()
+  HRING_EXPECTS(process_count() > 0);  // bound via ctor or prepare()
   begin_run();
   for (;;) {
     if (step_ >= config_.max_steps) {
@@ -169,7 +169,7 @@ bool StepEngine::step_once() {
   if (!any_enabled) return false;
 
   // The forced set (fair activation) with the daemon's picks ORed in.
-  choose_step(*scheduler_, enabled_, age_, chosen_);
+  choose_step(scheduler_, enabled_, age_, chosen_);
 
   // Execute the chosen processes, in ascending pid order. Firing order
   // within a step is immaterial: a process only pops its own in-link head

@@ -9,8 +9,10 @@
 // StepEngine implements the configuration-step semantics of §II (γ ↦ γ'
 // executes a scheduler-chosen non-empty subset of the enabled processes,
 // with fairness enforced by aging); it is the instrument for Lemma 1's
-// synchronous step counts and for scheduler-adversarial testing. The
-// discrete-event engine (event_engine.hpp) measures normalized time.
+// synchronous step counts and for scheduler-adversarial testing. It holds
+// its sim::Scheduler by value, so each prepare() re-arms the daemon without
+// an allocation. The discrete-event engine (event_engine.hpp) measures
+// normalized time.
 //
 // The firing path is allocation-free and statically dispatched: the
 // per-message delivery-time policy is a template parameter (each engine
@@ -268,9 +270,8 @@ struct StepConfig {
 
 class StepEngine final : public ExecutionCore {
  public:
-  /// `scheduler` is not owned and must outlive the engine.
   StepEngine(const ring::LabeledRing& ring, const ProcessFactory& factory,
-             Scheduler& scheduler, StepConfig config = {});
+             Scheduler scheduler, StepConfig config = {});
 
   /// Builds an unbound engine; call prepare() before run(). This is the
   /// entry point for recycled engines (sweeps, drivers, audits).
@@ -280,7 +281,7 @@ class StepEngine final : public ExecutionCore {
   /// the stop hook and the fault model are detached; wire them between
   /// prepare() and run().
   void prepare(const ring::LabeledRing& ring, const ProcessFactory& factory,
-               Scheduler& scheduler, StepConfig config = {});
+               Scheduler scheduler, StepConfig config = {});
 
   /// Runs to a terminal configuration (or budget/stop-hook exit).
   RunResult run();
@@ -289,7 +290,7 @@ class StepEngine final : public ExecutionCore {
   /// Executes one configuration step; false when no process is enabled.
   bool step_once();
 
-  Scheduler* scheduler_ = nullptr;
+  Scheduler scheduler_{SchedulerKind::kSynchronous, 0};
   StepConfig config_;
   std::vector<std::uint32_t> age_;  // consecutive steps enabled without firing
   // The step's enabled and chosen sets (PidSet bitsets), sized per ring.

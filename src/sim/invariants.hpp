@@ -63,7 +63,9 @@ struct SpecView {
 
 /// "p3": how violation messages name a process.
 [[nodiscard]] inline std::string spec_name(const SpecView& p) {
-  return "p" + std::to_string(p.pid);
+  std::string name = "p";
+  name += std::to_string(p.pid);
+  return name;
 }
 
 /// isLeader and done start FALSE.

@@ -1,6 +1,6 @@
 #include "sim/link.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "support/assert.hpp"
 
@@ -15,20 +15,6 @@ void Link::grow() {
   head_ = 0;
 }
 
-void Link::push(const Message& msg, double ready_time) {
-  HRING_EXPECTS(ready_time >= last_ready_time_);
-  if (count_ == buf_.size()) grow();
-  buf_[slot(count_)] = InFlight{msg, ready_time};
-  ++count_;
-  last_ready_time_ = ready_time;
-  high_water_ = std::max(high_water_, count_);
-}
-
-const Message* Link::head(double now) const {
-  if (count_ == 0 || buf_[head_].ready_time > now) return nullptr;
-  return &buf_[head_].msg;
-}
-
 double Link::head_ready_time() const {
   HRING_EXPECTS(count_ > 0);
   return buf_[head_].ready_time;
@@ -38,15 +24,6 @@ void Link::swap_last_two_payloads() {
   HRING_EXPECTS(count_ >= 2);
   using std::swap;
   swap(buf_[slot(count_ - 1)].msg, buf_[slot(count_ - 2)].msg);
-}
-
-Message Link::pop() {
-  HRING_EXPECTS(count_ > 0);
-  const Message msg = buf_[head_].msg;
-  head_ = slot(1);
-  --count_;
-  if (count_ == 0) head_ = 0;
-  return msg;
 }
 
 void Link::reset() {

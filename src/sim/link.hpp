@@ -7,15 +7,19 @@
 //
 // Storage is a flat ring buffer over one contiguous allocation. The buffer
 // only ever grows; reset() rewinds the link to empty while keeping the
-// capacity, so a recycled execution (ExecutionCore::reset) replays thousands
-// of runs without touching the allocator on the hot path.
+// capacity, so a recycled execution (ExecutionCore::reset, the batch
+// engine's per-cell restart) replays thousands of runs without touching the
+// allocator on the hot path. push, head and pop are defined here, in the
+// header, so every engine's firing loop inlines them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "sim/message.hpp"
+#include "support/assert.hpp"
 
 namespace hring::sim {
 
@@ -24,18 +28,38 @@ class Link {
   /// Appends `msg` at the tail with the given delivery time (step engine
   /// uses 0: always deliverable). Delivery times must be non-decreasing
   /// along the queue — the engines enforce this to preserve FIFO.
-  void push(const Message& msg, double ready_time = 0.0);
+  // hring-lint: hot-path
+  void push(const Message& msg, double ready_time = 0.0) {
+    HRING_EXPECTS(ready_time >= last_ready_time_);
+    if (count_ == buf_.size()) grow();
+    buf_[slot(count_)] = InFlight{msg, ready_time};
+    ++count_;
+    last_ready_time_ = ready_time;
+    high_water_ = std::max(high_water_, count_);
+  }
 
   /// Head message, or nullptr when empty. `now` filters messages still in
   /// transit (DES); the default admits everything already queued.
+  // hring-lint: hot-path
   [[nodiscard]] const Message* head(
-      double now = std::numeric_limits<double>::infinity()) const;
+      double now = std::numeric_limits<double>::infinity()) const {
+    if (count_ == 0 || buf_[head_].ready_time > now) return nullptr;
+    return &buf_[head_].msg;
+  }
 
   /// Delivery time of the head message. Requires a non-empty link.
   [[nodiscard]] double head_ready_time() const;
 
   /// Removes and returns the head. Requires a non-empty link.
-  Message pop();
+  // hring-lint: hot-path
+  Message pop() {
+    HRING_EXPECTS(count_ > 0);
+    const Message msg = buf_[head_].msg;
+    head_ = slot(1);
+    --count_;
+    if (count_ == 0) head_ = 0;
+    return msg;
+  }
 
   /// Swaps the payloads of the last two queued messages, keeping their
   /// delivery times in place (so per-link delivery stays monotone). Used

@@ -6,12 +6,13 @@
 // been continuously enabled for `kFairnessBound` steps (choose_step).
 //
 // Both step engines, sim::StepEngine and the campaigns' core::BatchRunner,
-// hold the enabled set as a bitset and run the same daemons over it. A
-// daemon sets its picks in a second bitset, and a randomized one draws its
-// random numbers over the enabled processes in ascending pid order, so a
-// (ring, seed) pair gives one execution on either engine. The selects are
-// defined here, in the header, so the batch engine's by-value daemons
-// inline into its step.
+// hold the enabled set as a bitset and one sim::Scheduler by value, built
+// from a (SchedulerKind, seed) pair. It embeds the five daemons below and
+// dispatches to the one its kind names. A daemon sets its picks in a
+// second bitset, and a randomized one draws its random numbers over the
+// enabled processes in ascending pid order, so a (ring, seed) pair gives
+// one execution on either engine. Every select is defined here, in the
+// header, so it inlines into the engines' steps.
 #pragma once
 
 #include <bit>
@@ -76,33 +77,27 @@ void for_each_pid(PidSet set, F&& f) {
   return count;
 }
 
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-  /// Sets in `chosen` a non-empty subset of `enabled` (which is non-empty;
-  /// both sets have the same number of words). Bits already set in
-  /// `chosen`, the engine's forced picks, stay set.
-  virtual void select(PidSet enabled, MutablePidSet chosen) = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-};
+// Every daemon's select(enabled, chosen) sets in `chosen` a non-empty
+// subset of `enabled` (which is non-empty; both sets have the same number
+// of words). Bits already set in `chosen`, the engine's forced picks, stay
+// set.
 
 /// Every enabled process executes — the synchronous daemon of §III. Under
 /// this scheduler, steps coincide with the rounds counted by Lemma 1.
-class SynchronousScheduler final : public Scheduler {
+class SynchronousScheduler {
  public:
   // hring-lint: hot-path
-  void select(PidSet enabled, MutablePidSet chosen) override {
+  void select(PidSet enabled, MutablePidSet chosen) {
     for (std::size_t w = 0; w < enabled.size(); ++w) chosen[w] |= enabled[w];
   }
-  [[nodiscard]] const char* name() const override { return "synchronous"; }
 };
 
 /// Exactly one enabled process executes per step, scanned round-robin from
 /// the pid after the previous pick (a fair sequential daemon).
-class RoundRobinScheduler final : public Scheduler {
+class RoundRobinScheduler {
  public:
   // hring-lint: hot-path
-  void select(PidSet enabled, MutablePidSet chosen) override {
+  void select(PidSet enabled, MutablePidSet chosen) {
     // First enabled pid >= next_, else wrap to the smallest.
     for (std::size_t w = next_ / 64; w < enabled.size(); ++w) {
       std::uint64_t word = enabled[w];
@@ -115,7 +110,6 @@ class RoundRobinScheduler final : public Scheduler {
     }
     pick(nth_pid(enabled, 0), chosen);
   }
-  [[nodiscard]] const char* name() const override { return "round-robin"; }
 
  private:
   void pick(ProcessId pid, MutablePidSet chosen) {
@@ -127,17 +121,16 @@ class RoundRobinScheduler final : public Scheduler {
 };
 
 /// Exactly one uniformly random enabled process executes per step.
-class RandomSingleScheduler final : public Scheduler {
+class RandomSingleScheduler {
  public:
   explicit RandomSingleScheduler(support::Rng rng) : rng_(rng) {}
   // hring-lint: hot-path
-  void select(PidSet enabled, MutablePidSet chosen) override {
+  void select(PidSet enabled, MutablePidSet chosen) {
     const std::uint64_t count = pid_count(enabled);
     HRING_EXPECTS(count > 0);
     const ProcessId pid = nth_pid(enabled, rng_.below(count));
     chosen[pid / 64] |= pid_bit(pid);
   }
-  [[nodiscard]] const char* name() const override { return "random-single"; }
 
  private:
   support::Rng rng_;
@@ -146,11 +139,11 @@ class RandomSingleScheduler final : public Scheduler {
 /// Each enabled process executes independently with probability `p`; if the
 /// coin flips select nobody, one random enabled process is executed so the
 /// step is non-empty.
-class RandomSubsetScheduler final : public Scheduler {
+class RandomSubsetScheduler {
  public:
   RandomSubsetScheduler(support::Rng rng, double p) : rng_(rng), p_(p) {}
   // hring-lint: hot-path
-  void select(PidSet enabled, MutablePidSet chosen) override {
+  void select(PidSet enabled, MutablePidSet chosen) {
     bool picked = false;
     for (std::size_t w = 0; w < enabled.size(); ++w) {
       std::uint64_t picks = 0;
@@ -165,7 +158,6 @@ class RandomSubsetScheduler final : public Scheduler {
       chosen[pid / 64] |= pid_bit(pid);
     }
   }
-  [[nodiscard]] const char* name() const override { return "random-subset"; }
 
  private:
   support::Rng rng_;
@@ -176,14 +168,64 @@ class RandomSubsetScheduler final : public Scheduler {
 /// among the enabled (up to the engine's fairness forcing) by always
 /// picking the smallest-pid enabled process. Stresses executions the
 /// randomized daemons rarely produce.
-class ConvoyScheduler final : public Scheduler {
+class ConvoyScheduler {
  public:
   // hring-lint: hot-path
-  void select(PidSet enabled, MutablePidSet chosen) override {
+  void select(PidSet enabled, MutablePidSet chosen) {
     const ProcessId pid = nth_pid(enabled, 0);
     chosen[pid / 64] |= pid_bit(pid);
   }
-  [[nodiscard]] const char* name() const override { return "convoy"; }
+};
+
+enum class SchedulerKind : std::uint8_t {
+  kSynchronous,
+  kRoundRobin,
+  kRandomSingle,
+  kRandomSubset,
+  kConvoy,
+};
+
+/// The daemon of one run: the daemon `kind` names, seeded with `seed` when
+/// it is randomized (the same kind and seed replay the same schedule). The
+/// random-subset daemon flips a fair coin per enabled process (p = 0.5).
+/// A by-value type: engines re-arm it per run by assignment, with no
+/// allocation.
+class Scheduler {
+ public:
+  Scheduler(SchedulerKind kind, std::uint64_t seed)
+      : kind_(kind),
+        random_single_(support::Rng(seed)),
+        random_subset_(support::Rng(seed), 0.5) {}
+
+  // hring-lint: hot-path
+  void select(PidSet enabled, MutablePidSet chosen) {
+    switch (kind_) {
+      case SchedulerKind::kSynchronous:
+        synchronous_.select(enabled, chosen);
+        return;
+      case SchedulerKind::kRoundRobin:
+        round_robin_.select(enabled, chosen);
+        return;
+      case SchedulerKind::kRandomSingle:
+        random_single_.select(enabled, chosen);
+        return;
+      case SchedulerKind::kRandomSubset:
+        random_subset_.select(enabled, chosen);
+        return;
+      case SchedulerKind::kConvoy:
+        convoy_.select(enabled, chosen);
+        return;
+    }
+    HRING_ASSERT(false);
+  }
+
+ private:
+  SchedulerKind kind_;
+  SynchronousScheduler synchronous_;
+  RoundRobinScheduler round_robin_;
+  RandomSingleScheduler random_single_;
+  RandomSubsetScheduler random_subset_;
+  ConvoyScheduler convoy_;
 };
 
 /// A process continuously enabled for this many steps is force-included
@@ -196,9 +238,8 @@ inline constexpr std::uint32_t kFairnessBound = 128;
 /// engine resets each fired process's age to 0, so the enabled ones it
 /// skipped end the step one older. `age` is indexed by pid.
 // hring-lint: hot-path
-template <class Daemon>
-void choose_step(Daemon& daemon, PidSet enabled, std::span<std::uint32_t> age,
-                 MutablePidSet chosen) {
+inline void choose_step(Scheduler& scheduler, PidSet enabled,
+                        std::span<std::uint32_t> age, MutablePidSet chosen) {
   for (std::size_t w = 0; w < enabled.size(); ++w) {
     std::uint64_t forced = 0;
     for (std::uint64_t word = enabled[w]; word != 0; word &= word - 1) {
@@ -209,7 +250,7 @@ void choose_step(Daemon& daemon, PidSet enabled, std::span<std::uint32_t> age,
     }
     chosen[w] = forced;
   }
-  daemon.select(enabled, chosen);
+  scheduler.select(enabled, chosen);
 }
 
 }  // namespace hring::sim

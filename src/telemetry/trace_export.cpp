@@ -28,9 +28,11 @@ void write_trace_json(std::ostream& out,
   trace.name_group(kTraceProcessGroup, "processes");
   trace.name_group(kTraceLinkGroup, "links");
   for (sim::ProcessId pid = 0; pid < n; ++pid) {
-    const std::string proc_name = "p" + std::to_string(pid) + " (label " +
-                                  std::to_string(telemetry.process_label(pid)) +
-                                  ")";
+    std::string proc_name = "p";
+    proc_name += std::to_string(pid);
+    proc_name += " (label ";
+    proc_name += std::to_string(telemetry.process_label(pid));
+    proc_name += ')';
     trace.name_track(kTraceProcessGroup, pid, proc_name);
     const std::string link_name =
         "link p" + std::to_string(pid) + " -> p" +

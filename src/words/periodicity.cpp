@@ -23,22 +23,6 @@ std::size_t smallest_period(const LabelSequence& seq) {
   return seq.size() - border.back();
 }
 
-bool is_period(const LabelSequence& seq, std::size_t period) {
-  HRING_EXPECTS(period >= 1);
-  for (std::size_t i = period; i < seq.size(); ++i) {
-    if (!(seq[i] == seq[i - period])) return false;
-  }
-  return true;
-}
-
-std::size_t smallest_period_naive(const LabelSequence& seq) {
-  HRING_EXPECTS(!seq.empty());
-  for (std::size_t m = 1; m < seq.size(); ++m) {
-    if (is_period(seq, m)) return m;
-  }
-  return seq.size();
-}
-
 LabelSequence srp(const LabelSequence& seq) {
   const std::size_t m = smallest_period(seq);
   return LabelSequence(seq.begin(),

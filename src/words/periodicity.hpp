@@ -29,17 +29,9 @@ namespace hring::words {
 /// Smallest period of `seq` (= |srp(seq)|). Requires a non-empty sequence.
 [[nodiscard]] std::size_t smallest_period(const LabelSequence& seq);
 
-/// Reference O(n^2) smallest period: tries each m = 1..n in order and
-/// returns the first m with is_period(seq, m). For cross-checking.
-[[nodiscard]] std::size_t smallest_period_naive(const LabelSequence& seq);
-
 /// The paper's srp(σ): the shortest repeating prefix, as a copy.
 /// Requires a non-empty sequence.
 [[nodiscard]] LabelSequence srp(const LabelSequence& seq);
-
-/// True iff `period` is a period of `seq` (direct definitional check).
-/// Requires 1 <= period.
-[[nodiscard]] bool is_period(const LabelSequence& seq, std::size_t period);
 
 /// Maintains the smallest period of a growing sequence online. push_back is
 /// amortized O(1); A_k consults period() after every received token, so the

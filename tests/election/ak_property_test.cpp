@@ -13,6 +13,7 @@
 #include "election/ak.hpp"
 #include "ring/generator.hpp"
 #include "sim/engine.hpp"
+#include "tests/words/reference.hpp"
 #include "words/lyndon.hpp"
 #include "words/periodicity.hpp"
 
@@ -60,8 +61,8 @@ TEST(AkPropertyTest, StringsAreLLabelsPrefixesThroughoutTheRun) {
         ring::random_asymmetric_ring(n, k, (n + k - 1) / k + 2, rng);
     ASSERT_TRUE(ring.has_value());
     AkStringMonitor monitor(*ring, k);
-    sim::RoundRobinScheduler sched;
-    sim::StepEngine engine(*ring, AkProcess::factory(k), sched);
+    sim::StepEngine engine(*ring, AkProcess::factory(k),
+                           sim::Scheduler(sim::SchedulerKind::kRoundRobin, 0));
     engine.add_observer(&monitor);
     ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated)
         << ring->to_string();
@@ -73,8 +74,8 @@ TEST(AkPropertyTest, LeaderStringHas2kPlus1CopiesAtElection) {
   // some label (Lemma 6's hypothesis).
   const std::size_t k = 2;
   const auto ring = ring::LabeledRing::from_values({1, 3, 2, 3, 2});
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, AkProcess::factory(k), sched);
+  sim::StepEngine engine(ring, AkProcess::factory(k),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
   for (sim::ProcessId pid = 0; pid < ring.size(); ++pid) {
     const auto& proc = dynamic_cast<const AkProcess&>(engine.process(pid));

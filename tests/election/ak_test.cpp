@@ -163,8 +163,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 5, 8, 12, 20),
                        ::testing::Values<std::size_t>(1, 2, 3)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_k" +
-             std::to_string(std::get<1>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 // -- randomized correctness across schedulers ------------------------------
@@ -237,8 +240,8 @@ TEST(AkTest, LeaderReceiveCountDominates) {
 TEST(AkTest, GrownStringIsPrefixOfLLabels) {
   const auto ring = ring::LabeledRing::from_values({1, 3, 2, 2});
   // Use the step engine directly so the process objects stay inspectable.
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, AkProcess::factory(2), sched);
+  sim::StepEngine engine(ring, AkProcess::factory(2),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   const auto result = engine.run();
   ASSERT_EQ(result.outcome, sim::Outcome::kTerminated);
   for (sim::ProcessId pid = 0; pid < 4; ++pid) {

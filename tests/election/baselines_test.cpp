@@ -128,11 +128,9 @@ TEST(PetersonTest, ActiveSetAtLeastHalvesEachPhase) {
   support::Rng rng(0x9e7f);
   for (const std::size_t n : {8u, 16u, 32u}) {
     const auto ring = ring::distinct_ring(n, rng);
-    sim::SynchronousScheduler sched;
-    sim::StepEngine engine(ring,
-                           election::make_factory(
-                               {AlgorithmId::kPeterson, 1, false}),
-                           sched);
+    sim::StepEngine engine(
+        ring, election::make_factory({AlgorithmId::kPeterson, 1, false}),
+        sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
     sim::TraceRecorder trace;
     engine.add_observer(&trace);
     ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);

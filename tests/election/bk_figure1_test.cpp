@@ -42,9 +42,8 @@ const Figure1Expectation kFigure1[4] = {
 TEST(BkFigure1Test, ReproducesAllFourPanels) {
   const auto ring =
       ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2});
-  sim::SynchronousScheduler sched;
   sim::StepEngine engine(ring, BkProcess::factory(3, /*history=*/true),
-                         sched);
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   const auto result = engine.run();
   ASSERT_EQ(result.outcome, sim::Outcome::kTerminated);
 
@@ -67,9 +66,8 @@ TEST(BkFigure1Test, GuestsEqualLLabelsAtEveryPhase) {
   // HI condition 1 (Lemma 8): p.guest = LLabels(p)[i] in phase i.
   const auto ring =
       ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2});
-  sim::SynchronousScheduler sched;
   sim::StepEngine engine(ring, BkProcess::factory(3, /*history=*/true),
-                         sched);
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
   for (sim::ProcessId pid = 0; pid < 8; ++pid) {
     const auto& proc = dynamic_cast<const BkProcess&>(engine.process(pid));
@@ -98,9 +96,8 @@ TEST(BkFigure1Test, P0IsElectedAndEveryoneAgrees) {
 TEST(BkFigure1Test, ActiveSetsShrinkMonotonically) {
   const auto ring =
       ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2});
-  sim::SynchronousScheduler sched;
   sim::StepEngine engine(ring, BkProcess::factory(3, /*history=*/true),
-                         sched);
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
   // Collect per-phase active counts across processes.
   std::vector<std::size_t> active_count;

@@ -86,8 +86,8 @@ TEST(BkPropertyTest, ExactlyOneProcessEverWins) {
     const auto ring =
         ring::random_asymmetric_ring(n, k, (n + k - 1) / k + 2, rng);
     ASSERT_TRUE(ring.has_value());
-    sim::RoundRobinScheduler sched;
-    sim::StepEngine engine(*ring, BkProcess::factory(k), sched);
+    sim::StepEngine engine(*ring, BkProcess::factory(k),
+                           sim::Scheduler(sim::SchedulerKind::kRoundRobin, 0));
     ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
     std::size_t winners = 0;
     for (sim::ProcessId pid = 0; pid < n; ++pid) {
@@ -146,8 +146,8 @@ TEST(BkPropertyTest, GuestsEqualLLabelsOnRandomRings) {
     const auto ring =
         ring::random_asymmetric_ring(n, k, (n + k - 1) / k + 2, rng);
     ASSERT_TRUE(ring.has_value());
-    sim::SynchronousScheduler sched;
-    sim::StepEngine engine(*ring, BkProcess::factory(k, true), sched);
+    sim::StepEngine engine(*ring, BkProcess::factory(k, true),
+                           sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
     ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
     for (sim::ProcessId pid = 0; pid < n; ++pid) {
       const auto& proc =
@@ -188,8 +188,8 @@ TEST(BkPropertyTest, LeaderFinalPhaseEqualsX) {
     }
     ASSERT_GT(x, 0u);
 
-    sim::SynchronousScheduler sched;
-    sim::StepEngine engine(*ring, BkProcess::factory(k), sched);
+    sim::StepEngine engine(*ring, BkProcess::factory(k),
+                           sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
     ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
     const auto& winner =
         dynamic_cast<const BkProcess&>(engine.process(leader_idx));

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/election_driver.hpp"
 #include "election/bk.hpp"
@@ -59,9 +60,15 @@ class DiagramChecker final : public sim::Observer {
     const Edge edge{previous_[event.pid], std::string(event.action),
                     proc.state()};
     if (figure2_edges().count(edge) == 0) {
-      bad_edges_.push_back("p" + std::to_string(event.pid) + ": " +
-                           bk_state_name(edge.from) + " --" + edge.action +
-                           "--> " + bk_state_name(edge.to));
+      std::string bad = "p";
+      bad += std::to_string(event.pid);
+      bad += ": ";
+      bad += bk_state_name(edge.from);
+      bad += " --";
+      bad += edge.action;
+      bad += "--> ";
+      bad += bk_state_name(edge.to);
+      bad_edges_.push_back(std::move(bad));
     }
     observed_.insert(edge);
     previous_[event.pid] = proc.state();
@@ -88,8 +95,8 @@ class DiagramChecker final : public sim::Observer {
 TEST(BkStateDiagramTest, Figure1RingUsesOnlyDiagramEdges) {
   const auto ring =
       ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2});
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, BkProcess::factory(3), sched);
+  sim::StepEngine engine(ring, BkProcess::factory(3),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   DiagramChecker checker;
   engine.add_observer(&checker);
   ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);
@@ -108,8 +115,8 @@ TEST(BkStateDiagramTest, RandomRingsCoverEveryEdge) {
     const std::size_t alphabet = (n + k - 1) / k + 2;
     const auto ring = ring::random_asymmetric_ring(n, k, alphabet, rng);
     ASSERT_TRUE(ring.has_value());
-    sim::RoundRobinScheduler sched;
-    sim::StepEngine engine(*ring, BkProcess::factory(k), sched);
+    sim::StepEngine engine(*ring, BkProcess::factory(k),
+                           sim::Scheduler(sim::SchedulerKind::kRoundRobin, 0));
     DiagramChecker checker;
     engine.add_observer(&checker);
     ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated)

@@ -129,8 +129,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 5, 8, 12),
                        ::testing::Values<std::size_t>(1, 2, 3)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_k" +
-             std::to_string(std::get<1>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 // -- scheduler sweep --------------------------------------------------------
@@ -167,8 +170,8 @@ TEST(BkTest, InnerAndOuterNeverExceedK) {
   const auto ring =
       ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2});
   const std::size_t k = 3;
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, BkProcess::factory(k), sched);
+  sim::StepEngine engine(ring, BkProcess::factory(k),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   const auto result = engine.run();
   ASSERT_EQ(result.outcome, sim::Outcome::kTerminated);
   for (sim::ProcessId pid = 0; pid < ring.size(); ++pid) {
@@ -184,8 +187,8 @@ TEST(BkTest, PhaseCountMatchesXFormula) {
   // at position 9, so the leader's final phase is 9.
   const auto ring =
       ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2});
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, BkProcess::factory(3, true), sched);
+  sim::StepEngine engine(ring, BkProcess::factory(3, true),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   const auto result = engine.run();
   ASSERT_EQ(result.outcome, sim::Outcome::kTerminated);
   const auto& leader = dynamic_cast<const BkProcess&>(engine.process(0));

@@ -83,8 +83,8 @@ TEST_P(CodecTest, RoundTripsAtEveryExecutionStage) {
   const std::size_t k = paper ? 2 : 1;
   const AlgorithmConfig algorithm{algo, k, false};
 
-  sim::SynchronousScheduler scheduler;
-  sim::StepEngine engine(ring, make_factory(algorithm), scheduler);
+  sim::StepEngine engine(ring, make_factory(algorithm),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   CodecProbe probe(algorithm, /*every=*/3);
   engine.add_observer(&probe);
   const auto result = engine.run();
@@ -150,9 +150,8 @@ ring::LabeledRing high_label_ring() {
 
 std::vector<SnapshotCollector::Snapshot> run_and_snapshot(
     const AlgorithmConfig& algorithm) {
-  sim::SynchronousScheduler scheduler;
   sim::StepEngine engine(high_label_ring(), make_factory(algorithm),
-                         scheduler);
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   SnapshotCollector collector(/*every=*/2);
   engine.add_observer(&collector);
   const auto result = engine.run();
@@ -288,8 +287,8 @@ TEST(AkCodecTest, DecodeIntoAHeldStateBehavesAsIntoAFreshProcess) {
     const AlgorithmConfig algorithm{AlgorithmId::kAk, ring.max_multiplicity(),
                                     false};
     const auto factory = make_factory(algorithm);
-    sim::SynchronousScheduler scheduler;
-    sim::StepEngine engine(ring, factory, scheduler);
+    sim::StepEngine engine(ring, factory,
+                           sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
     FiringRecorder recorder(ring.size());
     engine.add_observer(&recorder);
     ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);

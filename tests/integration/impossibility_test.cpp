@@ -15,7 +15,7 @@
 #include "core/experiment.hpp"
 #include "ring/classes.hpp"
 #include "ring/fooling.hpp"
-#include "ring/generator.hpp"
+#include "ring/labeled_ring.hpp"
 
 namespace hring {
 namespace {
@@ -93,7 +93,7 @@ TEST(ImpossibilityTest, SymmetricRingsAreUnelectableByConstruction) {
   // Outside A entirely: on a rotationally symmetric ring the synchronous
   // runs of A_k/B_k treat symmetric positions identically, so they can
   // never single out one leader; the monitor or the budget must trip.
-  const auto ring = ring::symmetric_ring(words::make_sequence({1, 2}), 3);
+  const auto ring = ring::LabeledRing::from_values({1, 2, 1, 2, 1, 2});
   for (const auto algo : {AlgorithmId::kAk, AlgorithmId::kBk}) {
     ElectionConfig config;
     config.algorithm = {algo, 3, false};

@@ -108,8 +108,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple<std::size_t, std::size_t>{4, 4},
                       std::tuple<std::size_t, std::size_t>{5, 4}),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_a" +
-             std::to_string(std::get<1>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_a";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 }  // namespace

@@ -37,12 +37,6 @@ TEST(GeneratorTest, UniformRandomRingRespectsAlphabet) {
   }
 }
 
-TEST(GeneratorTest, SymmetricRingIsSymmetric) {
-  const auto ring = symmetric_ring(words::make_sequence({1, 2, 3}), 3);
-  EXPECT_EQ(ring.size(), 9u);
-  EXPECT_FALSE(in_class_A(ring));
-}
-
 class AsymmetricGeneratorSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
 };
@@ -78,8 +72,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 4, 5, 8, 16, 33),
                        ::testing::Values<std::size_t>(1, 2, 3, 4)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_k" +
-             std::to_string(std::get<1>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 TEST(GeneratorTest, SaturatedRingHasLabelWithMultiplicityExactlyK) {

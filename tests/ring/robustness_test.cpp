@@ -5,7 +5,6 @@
 #include "ring/classes.hpp"
 #include "ring/generator.hpp"
 #include "ring/labeled_ring.hpp"
-#include "words/lyndon.hpp"
 
 namespace hring::ring {
 namespace {
@@ -51,13 +50,6 @@ TEST(RobustnessTest, AsymmetricSamplerValidatesArguments) {
 TEST(RobustnessTest, EnumerationGuardsAgainstExplosion) {
   EXPECT_DEATH(static_cast<void>(enumerate_rings(40, 4, false, false)),
                "precondition");
-}
-
-TEST(RobustnessTest, SymmetricRingRequiresRepetition) {
-  EXPECT_DEATH(static_cast<void>(symmetric_ring(
-                   words::make_sequence({1, 2}), 1)),
-               "precondition");
-  EXPECT_DEATH(static_cast<void>(symmetric_ring({}, 3)), "precondition");
 }
 
 TEST(RobustnessTest, SaturatedSamplerRequiresRoomForAsymmetry) {

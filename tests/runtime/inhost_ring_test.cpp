@@ -66,8 +66,8 @@ TEST(InHostRingTest, LinkHistoriesMatchTheSimulatorRun) {
   }
   EXPECT_EQ(recorded, result.messages_received);
 
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, factory, sched);
+  sim::StepEngine engine(ring, factory,
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   sim::TraceRecorder trace;
   engine.add_observer(&trace);
   ASSERT_EQ(engine.run().outcome, sim::Outcome::kTerminated);

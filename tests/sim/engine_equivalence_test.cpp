@@ -27,7 +27,8 @@ class ActionLog final : public Observer {
   void on_action(const ExecutionView&, const ActionEvent& event) override {
     std::string entry(event.action);
     if (event.consumed.has_value()) {
-      entry += "/" + to_string(*event.consumed);
+      entry += '/';
+      entry += to_string(*event.consumed);
     }
     log_[event.pid].push_back(std::move(entry));
   }
@@ -58,8 +59,7 @@ TEST_P(EngineEquivalence, SyncStepAndUnitDelayEventRunsAreIdentical) {
     const auto factory =
         election::make_factory({GetParam(), k, false});
 
-    SynchronousScheduler sched;
-    StepEngine step(*ring, factory, sched);
+    StepEngine step(*ring, factory, Scheduler(SchedulerKind::kSynchronous, 0));
     ActionLog step_log;
     step.add_observer(&step_log);
     const auto step_result = step.run();

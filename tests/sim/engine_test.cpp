@@ -18,8 +18,8 @@ ring::LabeledRing small_ring() {
 }
 
 TEST(StepEngineTest, TrivialElectionTerminatesCleanly) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), TrivialElectProcess::make(), sched);
+  StepEngine engine(small_ring(), TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   const RunResult result = engine.run();
   EXPECT_EQ(result.outcome, Outcome::kTerminated);
   ASSERT_EQ(result.processes.size(), 4u);
@@ -34,8 +34,8 @@ TEST(StepEngineTest, TrivialElectionTerminatesCleanly) {
 }
 
 TEST(StepEngineTest, MessageCountsBalance) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), TrivialElectProcess::make(), sched);
+  StepEngine engine(small_ring(), TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   const RunResult result = engine.run();
   // One FINISH_LABEL traverses the ring exactly once: n messages.
   EXPECT_EQ(result.stats.messages_sent, 4u);
@@ -46,8 +46,8 @@ TEST(StepEngineTest, MessageCountsBalance) {
 }
 
 TEST(StepEngineTest, SynchronousStepCountIsRingDiameterPlusInit) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), TrivialElectProcess::make(), sched);
+  StepEngine engine(small_ring(), TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   const RunResult result = engine.run();
   // Step 1: all init (p0 sends). Steps 2..4: announcement hops to p1..p3.
   // Step 5: returns to p0 which halts.
@@ -55,8 +55,8 @@ TEST(StepEngineTest, SynchronousStepCountIsRingDiameterPlusInit) {
 }
 
 TEST(StepEngineTest, DeafSendersDeadlock) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), DeafSenderProcess::make(), sched);
+  StepEngine engine(small_ring(), DeafSenderProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   const RunResult result = engine.run();
   EXPECT_EQ(result.outcome, Outcome::kDeadlock);
   EXPECT_EQ(result.stats.messages_sent, 4u);
@@ -64,19 +64,18 @@ TEST(StepEngineTest, DeafSendersDeadlock) {
 }
 
 TEST(StepEngineTest, ForeverForwardExhaustsBudget) {
-  SynchronousScheduler sched;
   StepConfig config;
   config.max_steps = 500;
-  StepEngine engine(small_ring(), ForeverForwardProcess::make(), sched,
-                    config);
+  StepEngine engine(small_ring(), ForeverForwardProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0), config);
   const RunResult result = engine.run();
   EXPECT_EQ(result.outcome, Outcome::kBudgetExhausted);
   EXPECT_EQ(result.stats.steps, 500u);
 }
 
 TEST(StepEngineTest, StopPredicateShortCircuits) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), ForeverForwardProcess::make(), sched);
+  StepEngine engine(small_ring(), ForeverForwardProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   int steps_seen = 0;
   auto stop = [&steps_seen] { return ++steps_seen >= 3; };
   engine.set_stop_predicate(stop);
@@ -88,25 +87,12 @@ TEST(StepEngineTest, StopPredicateShortCircuits) {
 class SchedulerSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SchedulerSweep, TrivialElectionTerminatesUnderEveryScheduler) {
-  std::unique_ptr<Scheduler> sched;
-  switch (GetParam()) {
-    case 0:
-      sched = std::make_unique<SynchronousScheduler>();
-      break;
-    case 1:
-      sched = std::make_unique<RoundRobinScheduler>();
-      break;
-    case 2:
-      sched = std::make_unique<RandomSingleScheduler>(support::Rng(5));
-      break;
-    case 3:
-      sched = std::make_unique<RandomSubsetScheduler>(support::Rng(5), 0.3);
-      break;
-    default:
-      sched = std::make_unique<ConvoyScheduler>();
-      break;
-  }
-  StepEngine engine(small_ring(), TrivialElectProcess::make(), *sched);
+  constexpr SchedulerKind kKinds[] = {
+      SchedulerKind::kSynchronous, SchedulerKind::kRoundRobin,
+      SchedulerKind::kRandomSingle, SchedulerKind::kRandomSubset,
+      SchedulerKind::kConvoy};
+  StepEngine engine(small_ring(), TrivialElectProcess::make(),
+                    Scheduler(kKinds[GetParam()], 5));
   const RunResult result = engine.run();
   EXPECT_EQ(result.outcome, Outcome::kTerminated);
   EXPECT_EQ(result.leader_pid(), std::optional<ProcessId>(0));
@@ -116,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, SchedulerSweep,
                          ::testing::Range(0, 5));
 
 TEST(StepEngineTest, TraceRecordsActions) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), TrivialElectProcess::make(), sched);
+  StepEngine engine(small_ring(), TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   TraceRecorder trace;
   engine.add_observer(&trace);
   engine.run();
@@ -133,8 +119,8 @@ TEST(StepEngineTest, TraceRecordsActions) {
 }
 
 TEST(StepEngineTest, PeakSpaceTracked) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), TrivialElectProcess::make(), sched);
+  StepEngine engine(small_ring(), TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   const RunResult result = engine.run();
   // 2 labels * 3 bits (labels 1..4) + 3 flag bits.
   EXPECT_EQ(result.stats.peak_space_bits, 2u * 3u + 3u);
@@ -146,11 +132,10 @@ TEST(StepEngineTest, FairnessForcesStarvedProcess) {
   // shifts enablement), so use forever-forwarders: p0 stays enabled
   // forever and convoy would starve everyone else. The aging bound
   // (kFairnessBound steps) must still let every process fire.
-  ConvoyScheduler sched;
   StepConfig config;
   config.max_steps = 2000;
-  StepEngine engine(small_ring(), ForeverForwardProcess::make(), sched,
-                    config);
+  StepEngine engine(small_ring(), ForeverForwardProcess::make(),
+                    Scheduler(SchedulerKind::kConvoy, 0), config);
   TraceRecorder trace;
   engine.add_observer(&trace);
   const RunResult result = engine.run();
@@ -165,8 +150,8 @@ TEST(StepEngineTest, FairnessForcesStarvedProcess) {
 }
 
 TEST(StepEngineTest, LabelComparisonsAccounted) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), TrivialElectProcess::make(), sched);
+  StepEngine engine(small_ring(), TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   const RunResult result = engine.run();
   // TrivialElect performs no label comparisons at all.
   EXPECT_EQ(result.stats.label_comparisons, 0u);

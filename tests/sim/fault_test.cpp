@@ -34,10 +34,10 @@ struct FaultRun {
 FaultRun run_with_faults(const ProcessFactory& factory, FaultModel* model,
                          std::uint64_t max_steps) {
   const auto ring = test_ring();
-  SynchronousScheduler sched;
   StepConfig config;
   config.max_steps = max_steps;
-  StepEngine engine(ring, factory, sched, config);
+  StepEngine engine(ring, factory, Scheduler(SchedulerKind::kSynchronous, 0),
+                    config);
   SpecMonitor monitor;
   engine.add_observer(&monitor);
   engine.set_fault_model(model);

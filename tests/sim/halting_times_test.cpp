@@ -3,16 +3,75 @@
 // unit delays, last-halt <= decision + n.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/election_driver.hpp"
 #include "election/algorithm.hpp"
 #include "ring/generator.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_engine.hpp"
-#include "sim/halting_times.hpp"
+#include "sim/observer.hpp"
 
 namespace hring::sim {
 namespace {
+
+/// Records, per process, the time of its decision (done := TRUE) and of
+/// its halt.
+class HaltingTimes final : public Observer {
+ public:
+  struct Record {
+    std::optional<double> done_time;
+    std::optional<double> halt_time;
+  };
+
+  void on_start(const ExecutionView& view) override {
+    records_.assign(view.process_count(), Record{});
+  }
+
+  void on_action(const ExecutionView& view,
+                 const ActionEvent& event) override {
+    const Process& p = view.process(event.pid);
+    Record& r = records_[event.pid];
+    if (p.done() && !r.done_time.has_value()) {
+      r.done_time = view.current_time();
+    }
+    if (p.halted() && !r.halt_time.has_value()) {
+      r.halt_time = view.current_time();
+    }
+  }
+
+  [[nodiscard]] const std::vector<Record>& records() const {
+    return records_;
+  }
+
+  /// Earliest decision time (the leader's, for A_k/B_k); nullopt when no
+  /// process decided.
+  [[nodiscard]] std::optional<double> first_decision() const {
+    std::optional<double> best;
+    for (const auto& r : records_) {
+      if (r.done_time.has_value() &&
+          (!best.has_value() || *r.done_time < *best)) {
+        best = r.done_time;
+      }
+    }
+    return best;
+  }
+
+  /// Latest halt time; nullopt when some process never halted.
+  [[nodiscard]] std::optional<double> last_halt() const {
+    std::optional<double> worst;
+    for (const auto& r : records_) {
+      if (!r.halt_time.has_value()) return std::nullopt;
+      if (!worst.has_value() || *r.halt_time > *worst) worst = r.halt_time;
+    }
+    return worst;
+  }
+
+ private:
+  std::vector<Record> records_;
+};
 
 TEST(HaltingTimesTest, FinishWaveHaltsEveryoneWithinNTimeUnits) {
   support::Rng rng(0x8a17);

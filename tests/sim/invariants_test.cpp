@@ -109,9 +109,8 @@ ring::LabeledRing small_ring() {
 }
 
 TEST(SpecMonitorTest, CleanElectionHasNoViolations) {
-  SynchronousScheduler sched;
   StepEngine engine(small_ring(), testing::TrivialElectProcess::make(),
-                    sched);
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   SpecMonitor monitor;
   engine.add_observer(&monitor);
   const RunResult result = engine.run();
@@ -122,8 +121,8 @@ TEST(SpecMonitorTest, CleanElectionHasNoViolations) {
 }
 
 TEST(SpecMonitorTest, DetectsMultipleLeaders) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), EveryoneLeadsProcess::make(), sched);
+  StepEngine engine(small_ring(), EveryoneLeadsProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   SpecMonitor monitor;
   engine.add_observer(&monitor);
   engine.run();
@@ -138,8 +137,8 @@ TEST(SpecMonitorTest, DetectsMultipleLeaders) {
 }
 
 TEST(SpecMonitorTest, DetectsHaltBeforeDone) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), HaltsEarlyProcess::make(), sched);
+  StepEngine engine(small_ring(), HaltsEarlyProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   SpecMonitor monitor;
   engine.add_observer(&monitor);
   engine.run();
@@ -149,8 +148,8 @@ TEST(SpecMonitorTest, DetectsHaltBeforeDone) {
 }
 
 TEST(SpecMonitorTest, DetectsDoneWithoutLeader) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), DoneWithoutLeaderProcess::make(), sched);
+  StepEngine engine(small_ring(), DoneWithoutLeaderProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   SpecMonitor monitor;
   engine.add_observer(&monitor);
   engine.run();
@@ -163,8 +162,8 @@ TEST(SpecMonitorTest, DetectsDoneWithoutLeader) {
 }
 
 TEST(SpecMonitorTest, StopPredicateIntegration) {
-  SynchronousScheduler sched;
-  StepEngine engine(small_ring(), EveryoneLeadsProcess::make(), sched);
+  StepEngine engine(small_ring(), EveryoneLeadsProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   SpecMonitor monitor;
   engine.add_observer(&monitor);
   auto stop = [&monitor] { return monitor.violated(); };

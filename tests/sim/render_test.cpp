@@ -15,8 +15,8 @@ using testing::TrivialElectProcess;
 
 TEST(RenderTest, ConfigurationListsProcessesAndLinks) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 3});
-  SynchronousScheduler sched;
-  StepEngine engine(ring, TrivialElectProcess::make(), sched);
+  StepEngine engine(ring, TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   std::ostringstream out;
   WatchObserver watch(out, 1);
   engine.add_observer(&watch);
@@ -32,19 +32,19 @@ TEST(RenderTest, ConfigurationListsProcessesAndLinks) {
 
 TEST(RenderTest, WatchThinsOutput) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 3, 4});
-  SynchronousScheduler sched;
 
   std::ostringstream every_step;
   {
-    StepEngine engine(ring, TrivialElectProcess::make(), sched);
+    StepEngine engine(ring, TrivialElectProcess::make(),
+                      Scheduler(SchedulerKind::kSynchronous, 0));
     WatchObserver watch(every_step, 1);
     engine.add_observer(&watch);
     engine.run();
   }
   std::ostringstream every_other;
   {
-    SynchronousScheduler sched2;
-    StepEngine engine(ring, TrivialElectProcess::make(), sched2);
+    StepEngine engine(ring, TrivialElectProcess::make(),
+                      Scheduler(SchedulerKind::kSynchronous, 0));
     WatchObserver watch(every_other, 2);
     engine.add_observer(&watch);
     engine.run();
@@ -54,8 +54,8 @@ TEST(RenderTest, WatchThinsOutput) {
 
 TEST(RenderTest, SummaryCountsStates) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 3});
-  SynchronousScheduler sched;
-  StepEngine engine(ring, TrivialElectProcess::make(), sched);
+  StepEngine engine(ring, TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   std::string last_summary;
   // Use a tiny observer to sample the summary at the end of each step.
   class SummaryProbe final : public Observer {

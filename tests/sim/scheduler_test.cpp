@@ -28,7 +28,8 @@ std::vector<ProcessId> members(PidSet set) {
 }
 
 /// One select over `enabled` (n processes) into an empty chosen set.
-std::vector<ProcessId> pick(Scheduler& sched,
+template <class Daemon>
+std::vector<ProcessId> pick(Daemon& sched,
                             const std::vector<ProcessId>& enabled,
                             std::size_t n = 8) {
   const std::vector<std::uint64_t> set = to_set(enabled, n);
@@ -151,7 +152,8 @@ std::vector<std::vector<ProcessId>> enabled_stream() {
 
 /// FNV-1a over every pick of `sched` on the enabled stream, one
 /// separator per step; `picks` counts them.
-std::uint64_t picks_digest(Scheduler& sched, std::size_t& picks) {
+template <class Daemon>
+std::uint64_t picks_digest(Daemon& sched, std::size_t& picks) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -184,12 +186,6 @@ TEST(SchedulerGoldenTest, PicksOverASeededEnabledStreamAreFixed) {
   ConvoyScheduler convoy;
   EXPECT_EQ(picks_digest(convoy, picks), 0x05debebd1268f88bULL);
   EXPECT_EQ(picks, 200u);
-}
-
-TEST(SchedulerTest, Names) {
-  EXPECT_STREQ(SynchronousScheduler{}.name(), "synchronous");
-  EXPECT_STREQ(RoundRobinScheduler{}.name(), "round-robin");
-  EXPECT_STREQ(ConvoyScheduler{}.name(), "convoy");
 }
 
 }  // namespace

@@ -17,8 +17,8 @@ using testing::TrivialElectProcess;
 
 TEST(TraceFormatTest, PrintShowsActionsAndMessages) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 3});
-  SynchronousScheduler sched;
-  StepEngine engine(ring, TrivialElectProcess::make(), sched);
+  StepEngine engine(ring, TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   TraceRecorder trace;
   engine.add_observer(&trace);
   ASSERT_EQ(engine.run().outcome, Outcome::kTerminated);
@@ -36,8 +36,8 @@ TEST(TraceFormatTest, PrintShowsActionsAndMessages) {
 // change to TraceRecorder::print must update this expectation knowingly.
 TEST(TraceFormatTest, PrintGoldenOutput) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 3});
-  SynchronousScheduler sched;
-  StepEngine engine(ring, TrivialElectProcess::make(), sched);
+  StepEngine engine(ring, TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   TraceRecorder trace;
   engine.add_observer(&trace);
   ASSERT_EQ(engine.run().outcome, Outcome::kTerminated);
@@ -54,8 +54,8 @@ TEST(TraceFormatTest, PrintGoldenOutput) {
 
 TEST(TraceFormatTest, BoundedRecorderCountsDrops) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 3});
-  SynchronousScheduler sched;
-  StepEngine engine(ring, TrivialElectProcess::make(), sched);
+  StepEngine engine(ring, TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   TraceRecorder trace(/*max_entries=*/2);
   engine.add_observer(&trace);
   const auto result = engine.run();
@@ -70,8 +70,8 @@ TEST(TraceFormatTest, BoundedRecorderCountsDrops) {
 
 TEST(TraceFormatTest, EntriesCarrySentMessages) {
   const auto ring = ring::LabeledRing::from_values({1, 2, 3});
-  SynchronousScheduler sched;
-  StepEngine engine(ring, TrivialElectProcess::make(), sched);
+  StepEngine engine(ring, TrivialElectProcess::make(),
+                    Scheduler(SchedulerKind::kSynchronous, 0));
   TraceRecorder trace;
   engine.add_observer(&trace);
   ASSERT_EQ(engine.run().outcome, Outcome::kTerminated);

@@ -33,8 +33,8 @@ std::size_t slot_of(const Histogram& h, double v) {
 
 TEST(TelemetryObserver, ActionCountersMatchTraceCensus) {
   const auto ring = figure1_ring();
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, election::BkProcess::factory(3), sched);
+  sim::StepEngine engine(ring, election::BkProcess::factory(3),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   sim::TraceRecorder trace;
   TelemetryObserver telemetry;
   engine.add_observer(&trace);
@@ -60,8 +60,8 @@ TEST(TelemetryObserver, ActionCountersMatchTraceCensus) {
 
 TEST(TelemetryObserver, LatencyCountMatchesReceivesOnHonestLinks) {
   const auto ring = figure1_ring();
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, election::BkProcess::factory(3), sched);
+  sim::StepEngine engine(ring, election::BkProcess::factory(3),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   TelemetryObserver telemetry;
   engine.add_observer(&telemetry);
   const auto result = engine.run();
@@ -99,8 +99,8 @@ TEST(TelemetryObserver, EventEngineUnitDelaysLandInTheirBucket) {
 
 TEST(TelemetryObserver, LinkDepthSampledAtEachSend) {
   const auto ring = figure1_ring();
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, election::BkProcess::factory(3), sched);
+  sim::StepEngine engine(ring, election::BkProcess::factory(3),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   TelemetryObserver telemetry;
   engine.add_observer(&telemetry);
   const auto result = engine.run();
@@ -121,8 +121,8 @@ TEST(TelemetryObserver, LinkDepthSampledAtEachSend) {
 
 TEST(TelemetryObserver, SpaceHistogramPeaksAtStatsPeak) {
   const auto ring = figure1_ring();
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, election::BkProcess::factory(3), sched);
+  sim::StepEngine engine(ring, election::BkProcess::factory(3),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   TelemetryObserver telemetry;
   engine.add_observer(&telemetry);
   const auto result = engine.run();
@@ -145,8 +145,8 @@ TEST(TelemetryObserver, MessageSpanCapCountsDrops) {
   TelemetryObserver telemetry(config);
 
   const auto ring = figure1_ring();
-  sim::SynchronousScheduler sched;
-  sim::StepEngine engine(ring, election::BkProcess::factory(3), sched);
+  sim::StepEngine engine(ring, election::BkProcess::factory(3),
+                         sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   engine.add_observer(&telemetry);
   const auto result = engine.run();
 

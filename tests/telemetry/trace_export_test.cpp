@@ -31,9 +31,9 @@ std::unique_ptr<Figure1Run> run_figure1() {
   auto run = std::make_unique<Figure1Run>();
   const auto ring =
       ring::LabeledRing::from_values({1, 3, 1, 3, 2, 2, 1, 2});
-  sim::SynchronousScheduler sched;
   sim::StepEngine engine(
-      ring, election::BkProcess::factory(3, /*record_history=*/true), sched);
+      ring, election::BkProcess::factory(3, /*record_history=*/true),
+      sim::Scheduler(sim::SchedulerKind::kSynchronous, 0));
   engine.add_observer(&run->telemetry);
   run->result = engine.run();
   for (sim::ProcessId pid = 0; pid < ring.size(); ++pid) {

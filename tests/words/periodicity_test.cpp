@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "support/rng.hpp"
+#include "tests/words/reference.hpp"
 #include "words/label.hpp"
 #include "words/lyndon.hpp"
 

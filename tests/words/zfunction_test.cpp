@@ -1,10 +1,11 @@
-#include "words/zfunction.hpp"
+#include "tests/words/zfunction.hpp"
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "support/rng.hpp"
+#include "tests/words/reference.hpp"
 #include "words/periodicity.hpp"
 
 namespace hring::words {
