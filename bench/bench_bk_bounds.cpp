@@ -40,9 +40,8 @@ int main(int argc, char** argv) {
   const auto run_row = [&](const char* profile,
                            const ring::LabeledRing& ring, std::size_t k) {
     const std::size_t n = ring.size();
-    sim::ConstantDelay delay(1.0);
-    sim::EventEngine engine(ring,
-                            election::BkProcess::factory(k, true), delay);
+    sim::EventEngine engine(ring, election::BkProcess::factory(k, true),
+                            sim::Delay(sim::DelayKind::kWorstCase, 0, n));
     engine.add_observer(&telemetry_observer);
     const auto result = engine.run();
     const auto verification = core::verify_election(

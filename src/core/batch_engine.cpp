@@ -1,7 +1,7 @@
 #include "core/batch_engine.hpp"
 
 #include "election/batch_step.hpp"
-#include "words/label.hpp"
+#include "sim/invariants.hpp"
 
 namespace hring::core {
 
@@ -36,7 +36,7 @@ bool BatchRunner<Proc>::step() {
     // the in-link — but only by appending, never by popping another
     // process's head, so the head seen here is the one γ prescribes
     // (same argument as StepEngine::step_once).
-    sim::Link& in = links_[in_link(pid)];
+    sim::Link& in = links_[ring::left(pid, n_)];
     const sim::Message* head = in.head();
     HRING_ASSERT(!proc.halted());
     HRING_ASSERT(proc.enabled(head));
@@ -54,7 +54,7 @@ bool BatchRunner<Proc>::step() {
   // refreshed as such.
   sim::for_each_pid(chosen_, [&](sim::ProcessId pid) {
     refresh(pid);
-    const sim::ProcessId succ = pid + 1 == n_ ? 0 : pid + 1;
+    const sim::ProcessId succ = ring::right(pid, n_);
     if (!sim::contains(chosen_, succ)) refresh(succ);
   });
   ++stats_.steps;
@@ -126,35 +126,11 @@ BatchCellResult BatchRunner<Proc>::finish(
   BatchCellResult result;
   result.outcome = outcome;
   result.stats = &stats_;
-
-  std::size_t leaders = 0;
-  for (sim::ProcessId pid = 0; pid < n_; ++pid) {
-    if (procs_[pid].is_leader()) {
-      ++leaders;
-      result.leader = pid;
-    }
-  }
-  if (leaders != 1) result.leader.reset();
-
-  if (config_.verify) {
-    // Terminal-configuration checks, mirroring verify_election (raw label
-    // compares: engine self-checks never count toward the statistic).
-    bool ok = outcome == sim::Outcome::kTerminated && leaders == 1;
-    if (ok) {
-      const sim::Label leader_label = procs_[*result.leader].id();
-      for (std::size_t pid = 0; ok && pid < n_; ++pid) {
-        const Proc& proc = procs_[pid];
-        const std::optional<sim::Label> learned = proc.leader();
-        ok = proc.done() && proc.halted() && learned.has_value() &&
-             learned->value() == leader_label.value();
-      }
-      if (ok && config_.check_true_leader) {
-        ok = expected_leader.has_value() &&
-             *result.leader == *expected_leader;
-      }
-    }
-    result.verified = ok;
-  }
+  bool ok = outcome == sim::Outcome::kTerminated;
+  result.leader = sim::check_terminal(
+      n_, [this](sim::ProcessId pid) { return sim::SpecView::of(procs_[pid]); },
+      expected_leader, [&ok](const std::string&) { ok = false; });
+  result.verified = config_.verify && ok;
   return result;
 }
 

@@ -24,7 +24,9 @@
 // scalar run of the same (ring, config, seed) — the batch-vs-scalar
 // cross-check grid in tests/integration/batch_engine_test enforces it
 // field by field, including the Label-comparison count, which both engines
-// read off the thread-local counter they reset when a run starts.
+// read off the thread-local counter they reset when a run starts. A cell's
+// verdict comes from sim::check_terminal, the bullet-2 clause that
+// verify_election applies to a scalar run's snapshots.
 //
 // Only the way the enabled set is found differs. StepEngine re-evaluates
 // all n guards every step; the runner keeps the enabled set across steps
@@ -77,11 +79,8 @@ struct BatchConfig {
   std::size_t n = 0;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
   std::uint64_t budget = 10'000'000;
-  /// Check the terminal configuration (§II bullets) per cell.
+  /// Check the terminal configuration (§II bullet 2) per cell.
   bool verify = true;
-  /// With verify: also require the elected process to be the precomputed
-  /// expected leader passed to run().
-  bool check_true_leader = false;
 };
 
 /// `Proc` is a final Process subclass with restart(pid, id) and a fire()
@@ -96,8 +95,8 @@ class BatchRunner {
   void configure(const BatchConfig& config, const Proc& prototype);
 
   /// Runs one cell to completion (or to the budget) over `ring` (size must
-  /// equal config.n) with the cell's election seed. `expected_leader` is
-  /// the true leader to verify against (ignored unless check_true_leader).
+  /// equal config.n) with the cell's election seed. With verify, a given
+  /// `expected_leader` is the true leader the elected process must be.
   /// Restarts the processes and links in place, whatever state the
   /// previous cell left them in.
   [[nodiscard]] BatchCellResult run(
@@ -105,10 +104,6 @@ class BatchRunner {
       std::optional<sim::ProcessId> expected_leader);
 
  private:
-  [[nodiscard]] std::size_t in_link(sim::ProcessId pid) const {
-    return pid == 0 ? n_ - 1 : pid - 1;
-  }
-
   /// Mirrors StepEngine::step_once; false when no process is enabled
   /// (terminal or deadlock).
   [[nodiscard]] bool step();
@@ -116,7 +111,7 @@ class BatchRunner {
   /// Node `pid`'s guard, evaluated from scratch.
   [[nodiscard]] bool guard(sim::ProcessId pid) const {
     const Proc& proc = procs_[pid];
-    return !proc.halted() && proc.enabled(links_[in_link(pid)].head());
+    return !proc.halted() && proc.enabled(links_[ring::left(pid, n_)].head());
   }
 
   /// Re-evaluates node `pid`'s guard into the enabled set. A node that is
@@ -134,8 +129,9 @@ class BatchRunner {
   /// True iff the ring halted cleanly: all nodes halted, all links empty.
   [[nodiscard]] bool is_clean() const;
 
-  /// Closes the cell's statistics and verifies the terminal configuration;
-  /// mirrors make_result + verify_election.
+  /// Closes the cell's statistics as make_result does, and verifies the
+  /// terminal configuration with verify_election's clause,
+  /// sim::check_terminal.
   [[nodiscard]] BatchCellResult finish(
       sim::Outcome outcome, std::optional<sim::ProcessId> expected_leader);
 

@@ -56,14 +56,6 @@ RingSource RingSource::random_asymmetric(std::size_t n,
   return source;
 }
 
-RingSource RingSource::uniform_random(std::size_t n, std::size_t alphabet) {
-  RingSource source;
-  source.kind = Kind::kUniformRandom;
-  source.n = n;
-  source.alphabet = alphabet;
-  return source;
-}
-
 namespace {
 
 /// Number of workers when the config leaves it at 0: the hardware
@@ -94,12 +86,6 @@ ring::LabeledRing make_cell_ring(const RingSource& source,
             "alphabet)");
       }
       return std::move(*r);
-    }
-    case RingSource::Kind::kUniformRandom: {
-      const std::size_t alphabet =
-          source.alphabet != 0 ? source.alphabet
-                               : std::max<std::size_t>(source.n, 2);
-      return ring::uniform_random_ring(source.n, alphabet, rng);
     }
   }
   HRING_ASSERT(false);
@@ -176,15 +162,11 @@ struct WorkerState {
   }
 };
 
-/// True-leader checking, with the sources whose rings may be symmetric —
-/// no true leader to speak of — opted out: the uniform source, and a
-/// fixed ring with rotational symmetry.
+/// True-leader checking, with a fixed ring with rotational symmetry — no
+/// true leader to speak of — opted out.
 bool effective_check_true_leader(const SweepConfig& config) {
   const RingSource& source = config.source;
-  if (!config.check_true_leader ||
-      source.kind == RingSource::Kind::kUniformRandom) {
-    return false;
-  }
+  if (!config.check_true_leader) return false;
   return source.kind != RingSource::Kind::kFixed ||
          !words::has_rotational_symmetry(source.ring->labels());
 }
@@ -241,7 +223,6 @@ void run_batch_worker(const Proc& prototype, const SweepConfig& config,
   batch_config.scheduler = config.election.scheduler;
   batch_config.budget = config.election.budget;
   batch_config.verify = config.verify;
-  batch_config.check_true_leader = check_true;
   BatchRunner<Proc> runner;
   runner.configure(batch_config, prototype);
 

@@ -68,17 +68,13 @@ struct RingSource {
     /// Random asymmetric ring with multiplicity <= algorithm.k per cell
     /// (A ∩ K_k), via ring::random_asymmetric_ring.
     kRandomAsymmetric,
-    /// Uniform random labels from {1..alphabet} per cell; may be symmetric
-    /// and outside every class (stress source — true-leader checking is
-    /// skipped for it).
-    kUniformRandom,
   };
 
   Kind kind = Kind::kDistinct;
   /// Ring size for the generated kinds (kFixed takes it from the ring).
   std::size_t n = 8;
-  /// Label alphabet for kRandomAsymmetric / kUniformRandom; 0 picks the
-  /// per-kind default (the CLI's asymmetric-sampling alphabet, resp. n).
+  /// Label alphabet for kRandomAsymmetric; 0 picks the CLI's
+  /// asymmetric-sampling alphabet.
   std::size_t alphabet = 0;
   /// The ring of kFixed.
   std::optional<ring::LabeledRing> ring;
@@ -87,8 +83,6 @@ struct RingSource {
   [[nodiscard]] static RingSource distinct(std::size_t n);
   [[nodiscard]] static RingSource random_asymmetric(std::size_t n,
                                                     std::size_t alphabet = 0);
-  [[nodiscard]] static RingSource uniform_random(std::size_t n,
-                                                 std::size_t alphabet = 0);
 
   [[nodiscard]] std::size_t ring_size() const {
     return kind == Kind::kFixed ? ring->size() : n;
@@ -124,7 +118,7 @@ struct SweepConfig {
   bool verify = true;
   /// Additionally require the elected process to be ring.true_leader().
   /// Only meaningful for sources whose rings are asymmetric; ignored for
-  /// kUniformRandom and for a kFixed ring with rotational symmetry.
+  /// a kFixed ring with rotational symmetry.
   bool check_true_leader = false;
   /// Scalar backend only: attach a TelemetryObserver per cell and merge
   /// the per-run registries into CampaignResult::metrics (the CLI's

@@ -1,36 +1,11 @@
 #include "core/election_driver.hpp"
 
-#include <memory>
-
-#include "sim/delay_model.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/invariants.hpp"
-#include "sim/scheduler.hpp"
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 
 namespace hring::core {
-
-namespace {
-
-std::unique_ptr<sim::DelayModel> make_delay_model(DelayKind kind,
-                                                  std::uint64_t seed,
-                                                  std::size_t n) {
-  switch (kind) {
-    case DelayKind::kWorstCase:
-      return std::make_unique<sim::ConstantDelay>(1.0);
-    case DelayKind::kUniformRandom:
-      return std::make_unique<sim::UniformDelay>(support::Rng(seed), 0.05,
-                                                 1.0);
-    case DelayKind::kSlowLink:
-      return std::make_unique<sim::SlowLinkDelay>(
-          static_cast<sim::ProcessId>(seed % n), 0.05);
-  }
-  HRING_ASSERT(false);
-}
-
-}  // namespace
 
 const char* scheduler_kind_name(SchedulerKind kind) {
   switch (kind) {
@@ -93,12 +68,12 @@ sim::RunResult run_election(const ring::LabeledRing& ring,
     wire(engine);
     result = engine.run();
   } else {
-    const auto delay =
-        make_delay_model(config.delay, config.seed, ring.size());
     sim::EventConfig event_config;
     event_config.max_actions = config.budget;
     static thread_local sim::EventEngine engine;
-    engine.prepare(ring, factory, *delay, event_config);
+    engine.prepare(ring, factory,
+                   sim::Delay(config.delay, config.seed, ring.size()),
+                   event_config);
     wire(engine);
     result = engine.run();
   }

@@ -1,7 +1,7 @@
 // High-level driver: the library's main entry point.
 //
 // run_election() wires together a ring, an algorithm, an engine, a
-// scheduler or delay model, and the spec monitor, runs to completion, and
+// scheduler or delay kind, and the spec monitor, runs to completion, and
 // returns the outcome plus statistics and any observed violations.
 //
 //   auto ring = hring::ring::LabeledRing::from_values({1, 2, 2});
@@ -16,6 +16,7 @@
 
 #include "election/algorithm.hpp"
 #include "ring/labeled_ring.hpp"
+#include "sim/delay_model.hpp"
 #include "sim/observer.hpp"
 #include "sim/run_result.hpp"
 #include "sim/scheduler.hpp"
@@ -32,14 +33,8 @@ enum class EngineKind : std::uint8_t {
 
 /// The step engine's daemons (sim/scheduler.hpp).
 using sim::SchedulerKind;
-
-enum class DelayKind : std::uint8_t {
-  /// Every message takes the full time unit — the worst case of the
-  /// theorems' statements.
-  kWorstCase,
-  kUniformRandom,
-  kSlowLink,
-};
+/// The event engine's message delays (sim/delay_model.hpp).
+using sim::DelayKind;
 
 [[nodiscard]] const char* scheduler_kind_name(SchedulerKind kind);
 [[nodiscard]] const char* delay_kind_name(DelayKind kind);
@@ -49,7 +44,7 @@ struct ElectionConfig {
   EngineKind engine = EngineKind::kStep;
   SchedulerKind scheduler = SchedulerKind::kSynchronous;
   DelayKind delay = DelayKind::kWorstCase;
-  /// Seed for randomized schedulers / delay models.
+  /// Seed for randomized schedulers and delays.
   std::uint64_t seed = 1;
   /// Step budget (step engine) / action budget (event engine).
   std::uint64_t budget = 10'000'000;
@@ -72,8 +67,8 @@ struct CellSeeds {
   /// Seeds the ring generator when the campaign draws a fresh ring per
   /// cell (RingSource kinds other than kFixed).
   std::uint64_t ring_seed = 0;
-  /// Becomes ElectionConfig::seed for the cell (randomized schedulers /
-  /// delay models).
+  /// Becomes ElectionConfig::seed for the cell (randomized schedulers
+  /// and delays).
   std::uint64_t election_seed = 0;
 };
 

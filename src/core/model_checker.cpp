@@ -469,11 +469,11 @@ class Checker {
   }
 
   [[nodiscard]] std::size_t in_link(ProcessId pid) const {
-    return pid == 0 ? links_.size() - 1 : pid - 1;
+    return ring::left(pid, links_.size());
   }
 
   [[nodiscard]] ProcessId successor(ProcessId pid) const {
-    return pid + 1 == state_.size() ? 0 : pid + 1;
+    return ring::right(pid, state_.size());
   }
 
   /// Id of p_pid's in-link head, kNone when the link is empty.
@@ -599,38 +599,19 @@ class Checker {
         report);
   }
 
+  /// Bullet 2 on a terminal configuration, which must also have drained
+  /// every link.
   void check_terminal() {
     ++report_.terminal_configurations;
-    const std::string where = "terminal configuration";
-    std::size_t leaders = 0;
-    ProcessId leader_pid = 0;
-    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
-      const sim::SpecState& p = view(pid).state;
-      if (p.is_leader) {
-        ++leaders;
-        leader_pid = pid;
-      }
-      if (!p.halted) fail("process not halted at " + where);
-      if (!p.done) fail("process not done at " + where);
-    }
     for (const CheckLink& link : links_) {
-      if (!link.empty()) fail("message left in flight at " + where);
-    }
-    if (leaders != 1) {
-      fail(std::to_string(leaders) + " leaders at " + where);
-      return;
-    }
-    const auto leader_label = view(leader_pid).id;
-    for (ProcessId pid = 0; pid < state_.size(); ++pid) {
-      const sim::SpecState& p = view(pid).state;
-      if (!p.leader.has_value() || !(*p.leader == leader_label)) {
-        fail("disagreement on the leader label at " + where);
+      if (!link.empty()) {
+        fail("message left in flight at terminal configuration");
       }
     }
-    if (expected_leader_.has_value() && leader_pid != *expected_leader_) {
-      fail("elected p" + std::to_string(leader_pid) +
-           " but the true leader is p" + std::to_string(*expected_leader_));
-    }
+    sim::check_terminal(
+        state_.size(),
+        [this](ProcessId q) -> const sim::SpecView& { return view(q); },
+        expected_leader_, [this](const std::string& what) { fail(what); });
   }
 
   /// Invariants at entry: the working configuration holds the node, hash_

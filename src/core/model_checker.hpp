@@ -9,9 +9,10 @@
 //   * at most one process has isLeader (spec bullet 1);
 //   * isLeader and done never revert, halting implies done (bullets 1/3/4);
 //   * done implies a current leader carries the believed label (bullet 3);
-//   * every terminal configuration is clean (all halted, links empty) and
-//     elects one leader with global agreement, the true leader unless the
-//     ring has rotational symmetry and so has none (bullet 2).
+//   * every terminal configuration has empty links and meets bullet 2
+//     (sim::check_terminal, verify_election's clause): all done and
+//     halted, one leader with global agreement, the true leader unless the
+//     ring has rotational symmetry and so has none.
 //
 // Single-firing interleavings suffice: a §II step executes a set of
 // enabled processes, but distinct processes touch disjoint state (a

@@ -179,7 +179,7 @@ class AuditObserver final : public sim::Observer {
   void audit_fifo(const ActionEvent& event, std::size_t n,
                   const std::string& who) {
     if (event.consumed.has_value()) {
-      auto& in_shadow = shadow_links_[(event.pid + n - 1) % n];
+      auto& in_shadow = shadow_links_[ring::left(event.pid, n)];
       if (in_shadow.empty()) {
         report("[fifo] " + who + " received " + to_string(*event.consumed) +
                " but its in-link's send log is empty");

@@ -1,6 +1,6 @@
 #include "core/verification.hpp"
 
-#include "words/label.hpp"
+#include "sim/invariants.hpp"
 
 namespace hring::core {
 
@@ -29,41 +29,22 @@ VerificationReport verify_election(const ring::LabeledRing& ring,
     return report;
   }
 
-  std::size_t leaders = 0;
-  std::optional<sim::ProcessId> leader_pid;
-  for (const auto& p : result.processes) {
-    if (p.is_leader) {
-      ++leaders;
-      leader_pid = p.pid;
-    }
+  // check_terminal reads `expected` only when exactly one process was
+  // elected, so the true leader (whose precondition is an asymmetric ring)
+  // is computed only then.
+  std::optional<sim::ProcessId> expected;
+  if (check_true_leader && result.leader_pid().has_value()) {
+    expected = ring.true_leader();
   }
-  if (leaders != 1) {
-    report.fail("expected exactly 1 leader, found " +
-                std::to_string(leaders));
-    return report;
-  }
-
-  const words::Label leader_label = ring.label(*leader_pid);
-  for (const auto& p : result.processes) {
-    std::string who = "p";
-    who += std::to_string(p.pid);
-    if (!p.done) report.fail(who + " not done in terminal configuration");
-    if (!p.halted) report.fail(who + " not halted in terminal configuration");
-    if (!p.leader.has_value()) {
-      report.fail(who + ".leader unset in terminal configuration");
-    } else if (!(*p.leader == leader_label)) {
-      report.fail(who + ".leader = " + words::to_string(*p.leader) +
-                  " but L.id = " + words::to_string(leader_label));
-    }
-  }
-
-  if (check_true_leader) {
-    const ring::ProcessIndex expected = ring.true_leader();
-    if (*leader_pid != expected) {
-      report.fail("elected p" + std::to_string(*leader_pid) +
-                  " but the true leader is p" + std::to_string(expected));
-    }
-  }
+  sim::check_terminal(
+      ring.size(),
+      [&](sim::ProcessId pid) {
+        const sim::ProcessSnapshot& p = result.processes[pid];
+        return sim::SpecView{
+            p.pid, ring.label(p.pid),
+            sim::SpecState{p.is_leader, p.done, p.halted, p.leader}};
+      },
+      expected, [&report](std::string what) { report.fail(std::move(what)); });
   return report;
 }
 

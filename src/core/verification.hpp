@@ -1,10 +1,13 @@
 // Terminal-state verifier for the §II leader-election specification.
 //
 // The SpecMonitor checks the safety bullets during the run; this verifier
-// checks the terminal configuration: exactly one leader, every process
-// done, halted and agreeing on the leader's label (bullet 2), all links
-// drained — and, for the paper's algorithms, that the elected process is
-// the *true leader* (the Lyndon-word process of §IV).
+// checks how it ended: a clean terminal configuration (every process
+// halted, all links drained) with no recorded violation, and bullet 2 on
+// the final snapshots through sim::check_terminal, the clause the batch
+// engine and the model checker also apply — exactly one leader, every
+// process done, halted and agreeing on the leader's label, and, for the
+// paper's algorithms, the elected process being the *true leader* (the
+// Lyndon-word process of §IV).
 #pragma once
 
 #include <string>

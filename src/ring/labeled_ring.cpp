@@ -26,12 +26,12 @@ Label LabeledRing::label(ProcessIndex i) const {
 
 ProcessIndex LabeledRing::right(ProcessIndex i) const {
   HRING_EXPECTS(i < labels_.size());
-  return (i + 1) % labels_.size();
+  return ring::right(i, labels_.size());
 }
 
 ProcessIndex LabeledRing::left(ProcessIndex i) const {
   HRING_EXPECTS(i < labels_.size());
-  return (i + labels_.size() - 1) % labels_.size();
+  return ring::left(i, labels_.size());
 }
 
 std::size_t LabeledRing::multiplicity(Label label) const {

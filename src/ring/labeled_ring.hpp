@@ -23,6 +23,17 @@ using words::LabelSequence;
 /// Index of a process within the ring, in [0, n).
 using ProcessIndex = std::size_t;
 
+/// Clockwise successor / counter-clockwise predecessor of process i < n on
+/// a ring of n processes: p_i sends to right(i, n) and receives from
+/// left(i, n). Branches, not modulo: the engines call these on every
+/// firing.
+[[nodiscard]] constexpr ProcessIndex right(ProcessIndex i, std::size_t n) {
+  return i + 1 == n ? 0 : i + 1;
+}
+[[nodiscard]] constexpr ProcessIndex left(ProcessIndex i, std::size_t n) {
+  return i == 0 ? n - 1 : i - 1;
+}
+
 class LabeledRing {
  public:
   /// Builds a ring from clockwise labels. Requires n >= 2 (the model's

@@ -40,7 +40,7 @@ using History = std::vector<sim::Message>;
     return it == h.end() ? std::string("nothing") : sim::to_string(*it);
   };
   return "[link] p" + std::to_string(link) + "->p" +
-         std::to_string((link + 1) % n) + " message " +
+         std::to_string(ring::right(link, n)) + " message " +
          std::to_string(want - expected.begin()) + ": expected " +
          render(want, expected) + ", observed " + render(got, observed);
 }

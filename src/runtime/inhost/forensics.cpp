@@ -5,6 +5,7 @@
 #include <ostream>
 #include <string>
 
+#include "ring/labeled_ring.hpp"
 #include "runtime/inhost/inhost_links.hpp"
 #include "support/json.hpp"
 #include "telemetry/trace_writer.hpp"
@@ -129,7 +130,7 @@ ForensicReport collect_forensics(const telemetry::FlightRecorder& recorder,
   report.counters = counters;
   report.threads.reserve(n);
   for (sim::ProcessId pid = 0; pid < n; ++pid) {
-    const std::size_t in_port = (pid + n - 1) % n;
+    const std::size_t in_port = ring::left(pid, n);
     ForensicThread thread;
     thread.pid = pid;
     thread.beats = beats[pid];
@@ -228,7 +229,7 @@ void write_flight_trace_json(std::ostream& out,
 
   for (const ForensicThread& thread : report.threads) {
     const std::uint64_t tid = thread.pid;
-    const std::size_t in_port = (thread.pid + n - 1) % n;
+    const std::size_t in_port = ring::left(thread.pid, n);
     const std::size_t out_port = thread.pid;
     // Open park/backoff intervals, closed by the matching wake/park (or
     // by the collection edge when the run died inside one).

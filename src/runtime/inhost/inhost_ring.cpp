@@ -66,7 +66,7 @@ struct Shared {
         beats(std::make_unique<BeatSlot[]>(n)) {}
 
   [[nodiscard]] std::size_t in_port(ProcessId pid) const {
-    return (pid + links.ports() - 1) % links.ports();
+    return ring::left(pid, links.ports());
   }
   [[nodiscard]] std::size_t out_port(ProcessId pid) const { return pid; }
 

@@ -50,9 +50,7 @@ const Link& ExecutionCore::out_link(ProcessId pid) const {
 
 Link& ExecutionCore::in_link_of(ProcessId pid) {
   HRING_EXPECTS(pid < links_.size());
-  // pid is already reduced mod n: branch instead of hardware modulo on the
-  // per-firing hot path.
-  return links_[pid == 0 ? links_.size() - 1 : pid - 1];
+  return links_[ring::left(pid, links_.size())];
 }
 
 Link& ExecutionCore::out_link_of(ProcessId pid) {
@@ -69,7 +67,7 @@ Process& ExecutionCore::mutable_process(ProcessId pid) {
 const Message* ExecutionCore::deliverable_head(ProcessId pid,
                                                double now) const {
   HRING_EXPECTS(pid < links_.size());
-  return links_[pid == 0 ? links_.size() - 1 : pid - 1].head(now);
+  return links_[ring::left(pid, links_.size())].head(now);
 }
 
 bool ExecutionCore::terminal_is_clean() const {

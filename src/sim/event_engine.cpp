@@ -7,17 +7,15 @@
 namespace hring::sim {
 
 EventEngine::EventEngine(const ring::LabeledRing& ring,
-                         const ProcessFactory& factory,
-                         DelayModel& delay_model, EventConfig config)
-    : ExecutionCore(ring, factory),
-      delay_model_(&delay_model),
-      config_(config) {}
+                         const ProcessFactory& factory, Delay delay,
+                         EventConfig config)
+    : ExecutionCore(ring, factory), delay_(delay), config_(config) {}
 
 void EventEngine::prepare(const ring::LabeledRing& ring,
-                          const ProcessFactory& factory,
-                          DelayModel& delay_model, EventConfig config) {
+                          const ProcessFactory& factory, Delay delay,
+                          EventConfig config) {
   reset_core(ring, factory);
-  delay_model_ = &delay_model;
+  delay_ = delay;
   config_ = config;
   heap_.clear();
   next_seq_ = 0;
@@ -35,12 +33,11 @@ std::size_t EventEngine::drain_process(ProcessId pid, double now) {
   // link's delivery order stays FIFO. A wake is scheduled for the receiver
   // at that time — one wake per message, so none can be missed.
   const auto send_ready = [this, now](ProcessId from) {
-    const double d = delay_model_->delay(from);
+    const double d = delay_.of(from);
     HRING_ASSERT(d > 0.0 && d <= 1.0);
     const double ready =
         std::max(now + d, out_link(from).last_ready_time());
-    const ProcessId receiver = from + 1 == process_count() ? 0 : from + 1;
-    schedule_wake(ready, receiver);
+    schedule_wake(ready, ring::right(from, process_count()));
     return ready;
   };
   for (;;) {
@@ -56,7 +53,7 @@ std::size_t EventEngine::drain_process(ProcessId pid, double now) {
 }
 
 RunResult EventEngine::run() {
-  HRING_EXPECTS(delay_model_ != nullptr);  // bound via ctor or prepare()
+  HRING_EXPECTS(process_count() > 0);  // bound via ctor or prepare()
   begin_run();
   // The paper's unique no-reception action runs first in all executions:
   // every process gets a wake at time 0.

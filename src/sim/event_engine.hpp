@@ -3,12 +3,12 @@
 // §II measures time by normalizing executions so the longest message delay
 // (transmission + processing at the receiver) is one time unit and local
 // processing is instantaneous. The event engine realizes this directly:
-// each sent message is assigned a delay in (0, 1] by a DelayModel (clamped
-// so per-link delivery times stay FIFO), and a process fires as soon as an
-// enabled guard has a delivered head message. The completion time of the
-// run is exactly the §II time measure for that delay assignment; with the
-// constant delay 1.0 it realizes the adversary the upper-bound theorems are
-// stated against.
+// each sent message is assigned a delay in (0, 1] by the engine's
+// by-value sim::Delay (clamped so per-link delivery times stay FIFO), and
+// a process fires as soon as an enabled guard has a delivered head
+// message. The completion time of the run is exactly the §II time measure
+// for that delay assignment; with the worst-case delay 1.0 it realizes the
+// adversary the upper-bound theorems are stated against.
 #pragma once
 
 #include "sim/delay_model.hpp"
@@ -23,9 +23,8 @@ struct EventConfig {
 
 class EventEngine final : public ExecutionCore {
  public:
-  /// `delay_model` is not owned and must outlive the engine.
   EventEngine(const ring::LabeledRing& ring, const ProcessFactory& factory,
-              DelayModel& delay_model, EventConfig config = {});
+              Delay delay, EventConfig config = {});
 
   /// Builds an unbound engine; call prepare() before run(). This is the
   /// entry point for recycled engines (sweeps, drivers, benchmarks).
@@ -35,7 +34,7 @@ class EventEngine final : public ExecutionCore {
   /// wake heap. Observers, the stop hook and the fault model are detached;
   /// wire them between prepare() and run().
   void prepare(const ring::LabeledRing& ring, const ProcessFactory& factory,
-               DelayModel& delay_model, EventConfig config = {});
+               Delay delay, EventConfig config = {});
 
   /// Runs to a terminal configuration (or budget/stop-hook exit).
   /// stats().time_units is the timestamp of the last fired action.
@@ -57,7 +56,7 @@ class EventEngine final : public ExecutionCore {
   /// number of actions fired.
   std::size_t drain_process(ProcessId pid, double now);
 
-  DelayModel* delay_model_ = nullptr;
+  Delay delay_{DelayKind::kWorstCase, 0, 1};
   EventConfig config_;
   std::vector<Wake> heap_;  // min-heap via std::*_heap with greater
   std::uint64_t next_seq_ = 0;

@@ -1,21 +1,23 @@
-// The leader-election specification's safety clauses (§II, bullets 1, 3
-// and 4), written once, and the runtime monitor that checks them.
+// The leader-election specification's clauses (§II), written once, and the
+// runtime monitor that checks the safety ones.
 //
 //   1. at most one process has isLeader = TRUE, and isLeader never reverts
 //      TRUE → FALSE (irrevocability);
+//   2. in the terminal configuration every process is done and halted,
+//      exactly one process L is the leader, and every p.leader = L.id;
 //   3. done never reverts; once p.done holds, some process L has
 //      isLeader = TRUE with L.id = p.leader, and p.leader never changes
 //      afterwards;
 //   4. a process only halts after its done is TRUE.
-// (Bullet 2 — every p.leader equals the elected label in the terminal
-// configuration — is a terminal-state property checked by core::verify.)
 //
-// The clauses come in three parts: check_initial, check_transition (one
-// process across one step) and check_configuration. They read a SpecView
-// (position, label and spec variables), not a Process: SpecMonitor builds
-// the views from the live processes on every step of a simulated
-// execution, and the model checker (core/model_checker.cpp) from its
-// interned local states on every explored configuration.
+// The clauses come in four parts: check_initial, check_transition (one
+// process across one step), check_configuration and check_terminal
+// (bullet 2). They read a SpecView (position, label and spec variables),
+// not a Process: SpecMonitor builds the views from the live processes on
+// every step of a simulated execution, the model checker
+// (core/model_checker.cpp) from its interned local states on every
+// explored configuration, core::verify_election from a run's snapshots
+// and the batch engine from its recycled ring.
 // Each part calls `report(what)` once per violation and builds the
 // message only then. Labels are compared by raw value, so a check never
 // adds to Label::comparison_count(): Stats::label_comparisons counts the
@@ -129,6 +131,50 @@ void check_configuration(std::size_t n, ViewAt&& view, Report&& report) {
   if (leaders > 1) {
     report(std::to_string(leaders) + " simultaneous leaders");
   }
+}
+
+/// Bullet 2 on a terminal configuration of `n` processes, `view(q)` being
+/// p_q's SpecView: exactly one leader L, and every process done, halted
+/// and with p.leader = L.id. With `expected`, L must also be p_expected.
+/// Returns L's pid, or nothing (after one report, with no further checks)
+/// when the leader count is not 1.
+template <class ViewAt, class Report>
+std::optional<ProcessId> check_terminal(std::size_t n, ViewAt&& view,
+                                        std::optional<ProcessId> expected,
+                                        Report&& report) {
+  std::size_t leaders = 0;
+  ProcessId leader = 0;
+  for (ProcessId pid = 0; pid < n; ++pid) {
+    if (view(pid).state.is_leader) {
+      ++leaders;
+      leader = pid;
+    }
+  }
+  if (leaders != 1) {
+    report("expected exactly 1 leader, found " + std::to_string(leaders));
+    return std::nullopt;
+  }
+  const Label leader_label = view(leader).id;
+  for (ProcessId pid = 0; pid < n; ++pid) {
+    const SpecView& p = view(pid);
+    if (!p.state.done) {
+      report(spec_name(p) + " not done in terminal configuration");
+    }
+    if (!p.state.halted) {
+      report(spec_name(p) + " not halted in terminal configuration");
+    }
+    if (!p.state.leader.has_value()) {
+      report(spec_name(p) + ".leader unset in terminal configuration");
+    } else if (p.state.leader->value() != leader_label.value()) {
+      report(spec_name(p) + ".leader = " + words::to_string(*p.state.leader) +
+             " but L.id = " + words::to_string(leader_label));
+    }
+  }
+  if (expected.has_value() && leader != *expected) {
+    report("elected p" + std::to_string(leader) +
+           " but the true leader is p" + std::to_string(*expected));
+  }
+  return leader;
 }
 
 class SpecMonitor : public Observer {

@@ -3,6 +3,8 @@
 #include <limits>
 #include <ostream>
 
+#include "ring/labeled_ring.hpp"
+
 namespace hring::sim {
 
 void render_configuration(const ExecutionView& view, std::ostream& out) {
@@ -20,7 +22,7 @@ void render_configuration(const ExecutionView& view, std::ostream& out) {
   for (ProcessId pid = 0; pid < n; ++pid) {
     const Link& link = view.out_link(pid);
     if (link.empty()) continue;
-    out << "  p" << pid << " -> p" << (pid + 1) % n << " :";
+    out << "  p" << pid << " -> p" << ring::right(pid, n) << " :";
     // Links expose only the head; re-rendering full contents would need a
     // scan API, so show occupancy plus the deliverable head.
     out << " " << link.size() << " in flight";

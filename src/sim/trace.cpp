@@ -4,6 +4,7 @@
 #include <map>
 #include <ostream>
 
+#include "ring/labeled_ring.hpp"
 #include "support/assert.hpp"
 
 namespace hring::sim {
@@ -44,7 +45,7 @@ std::vector<std::vector<Message>> link_histories(const TraceRecorder& trace,
   for (const TraceRecorder::Entry& e : trace.entries()) {
     HRING_EXPECTS(e.event.pid < n);
     if (e.event.consumed.has_value()) {
-      histories[(e.event.pid + n - 1) % n].push_back(*e.event.consumed);
+      histories[ring::left(e.event.pid, n)].push_back(*e.event.consumed);
     }
   }
   return histories;

@@ -5,6 +5,8 @@
 #include <bit>
 #include <string>
 
+#include "ring/labeled_ring.hpp"
+
 namespace hring::telemetry {
 
 namespace {
@@ -25,36 +27,6 @@ constexpr std::array<double, 10> kPhaseDurationEdges = {1,  2,  4,   8,   16,
                                                         32, 64, 128, 256, 512};
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// PendingQueue
-
-void TelemetryObserver::PendingQueue::grow() {
-  const std::size_t new_cap = buf_.empty() ? 16 : buf_.size() * 2;
-  std::vector<PendingSend> next(new_cap);
-  for (std::size_t i = 0; i < count_; ++i) {
-    next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-  }
-  buf_ = std::move(next);
-  head_ = 0;
-}
-
-void TelemetryObserver::PendingQueue::push(const PendingSend& s) {
-  if (count_ == buf_.size()) grow();
-  buf_[(head_ + count_) & (buf_.size() - 1)] = s;
-  ++count_;
-}
-
-TelemetryObserver::PendingSend TelemetryObserver::PendingQueue::pop() {
-  HRING_EXPECTS(count_ > 0);
-  const PendingSend s = buf_[head_];
-  head_ = (head_ + 1) & (buf_.size() - 1);
-  --count_;
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// TelemetryObserver
 
 TelemetryObserver::TelemetryObserver(Config config) : config_(config) {}
 
@@ -102,7 +74,7 @@ void TelemetryObserver::on_start(const sim::ExecutionView& view) {
   label_bits_ = std::max<std::size_t>(1, std::bit_width(max_label));
 
   pending_.resize(n);
-  for (PendingQueue& q : pending_) q.reset();
+  for (sim::Link& link : pending_) link.reset();
   phase_tracks_.assign(n, PhaseTrack{});
   last_space_bits_.assign(n, 0);
 
@@ -113,8 +85,6 @@ void TelemetryObserver::on_start(const sim::ExecutionView& view) {
   space_samples_.clear();
   space_samples_.reserve(2 * n);
   dropped_message_spans_ = 0;
-  finish_time_ = 0.0;
-  finish_step_ = 0;
 
   // Seed the space series: every process occupies its initial footprint
   // before the first firing.
@@ -180,21 +150,22 @@ void TelemetryObserver::on_action(const sim::ExecutionView& view,
   // Message receive: FIFO-match against the mirrored send queue of the
   // incoming link (p_{pid-1} -> p_pid).
   if (event.consumed.has_value()) {
-    const std::size_t in_link = pid == 0 ? pending_.size() - 1 : pid - 1;
-    PendingQueue& queue = pending_[in_link];
-    if (queue.empty()) {
+    const std::size_t in_link = ring::left(pid, pending_.size());
+    sim::Link& sends = pending_[in_link];
+    if (sends.empty()) {
       // A fault model rewrote the wire under us (drops/duplicates desync
       // the mirror); count instead of guessing a latency.
       metrics_.add(unmatched_receives_);
     } else {
-      const PendingSend sent = queue.pop();
-      metrics_.record(latency_hist_, event.time - sent.time);
+      const double send_time = sends.head_ready_time();
+      const sim::Message sent = sends.pop();
+      metrics_.record(latency_hist_, event.time - send_time);
       if (message_spans_.size() < config_.max_message_spans) {
         MessageSpan span;
         span.from = in_link;
         span.kind = sent.kind;
-        span.label = sent.label;
-        span.send_time = sent.time;
+        span.label = sent.label.value();
+        span.send_time = send_time;
         span.recv_time = event.time;
         message_spans_.push_back(span);
       } else {
@@ -213,11 +184,7 @@ void TelemetryObserver::on_action(const sim::ExecutionView& view,
   // single process drain.
   if (!event.sent.empty()) {
     for (const sim::Message& msg : event.sent) {
-      PendingSend send;
-      send.time = event.time;
-      send.label = msg.label.value();
-      send.kind = msg.kind;
-      pending_[pid].push(send);
+      pending_[pid].push(msg, event.time);
     }
     metrics_.record(link_depth_hist_,
                     static_cast<double>(view.out_link(pid).size()));
@@ -273,16 +240,14 @@ void TelemetryObserver::on_action(const sim::ExecutionView& view,
 }
 
 void TelemetryObserver::on_finish(const sim::ExecutionView& view) {
-  finish_time_ = view.current_time();
-  finish_step_ = view.current_step();
   // Phases still open when the run stopped keep closed == false but get
   // the finish timestamp as their end, so exported spans stay bounded.
   for (sim::ProcessId pid = 0; pid < phase_tracks_.size(); ++pid) {
     const PhaseTrack& track = phase_tracks_[pid];
     if (track.open_span != kNoSpan) {
       PhaseSpan& span = phase_spans_[track.open_span];
-      span.end_time = finish_time_;
-      span.end_step = finish_step_;
+      span.end_time = view.current_time();
+      span.end_step = view.current_step();
     }
   }
 }

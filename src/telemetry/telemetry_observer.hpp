@@ -29,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/link.hpp"
 #include "sim/message.hpp"
 #include "sim/observer.hpp"
 #include "telemetry/metrics.hpp"
@@ -126,8 +127,6 @@ class TelemetryObserver : public sim::Observer {
     HRING_EXPECTS(pid < labels_.size());
     return labels_[pid];
   }
-  [[nodiscard]] double finish_time() const { return finish_time_; }
-  [[nodiscard]] std::uint64_t finish_step() const { return finish_step_; }
 
   // Histogram names registered by this observer (exported documents and
   // tests key on these).
@@ -140,35 +139,6 @@ class TelemetryObserver : public sim::Observer {
       "bk_phase_duration_time_units";
 
  private:
-  /// Send-side record waiting for its FIFO-matched receive.
-  struct PendingSend {
-    double time = 0.0;
-    std::uint64_t label = 0;
-    sim::MsgKind kind = sim::MsgKind::kToken;
-  };
-
-  /// Grow-only power-of-two ring buffer of pending sends, one per link —
-  /// the same storage discipline as sim::Link, so steady-state recording
-  /// stays off the allocator.
-  class PendingQueue {
-   public:
-    void reset() {
-      head_ = 0;
-      count_ = 0;
-    }
-    void push(const PendingSend& s);
-    PendingSend pop();
-    [[nodiscard]] bool empty() const { return count_ == 0; }
-    [[nodiscard]] std::size_t size() const { return count_; }
-
-   private:
-    void grow();
-
-    std::vector<PendingSend> buf_;  // capacity; a power of two (or empty)
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-  };
-
   /// Per-process B_k phase tracking state.
   struct PhaseTrack {
     std::size_t open_span = kNoSpan;  // index into phase_spans_
@@ -209,7 +179,9 @@ class TelemetryObserver : public sim::Observer {
 
   std::vector<std::uint64_t> labels_;
   std::size_t label_bits_ = 0;
-  std::vector<PendingQueue> pending_;       // pending_[i]: link p_i -> p_{i+1}
+  /// pending_[i] mirrors link p_i -> p_{i+1}: each sent message waits
+  /// there for its FIFO-matched receive, stamped with its send time.
+  std::vector<sim::Link> pending_;
   std::vector<PhaseTrack> phase_tracks_;
   std::vector<std::size_t> last_space_bits_;
 
@@ -218,8 +190,6 @@ class TelemetryObserver : public sim::Observer {
   std::vector<Marker> markers_;
   std::vector<SpaceSample> space_samples_;
   std::uint64_t dropped_message_spans_ = 0;
-  double finish_time_ = 0.0;
-  std::uint64_t finish_step_ = 0;
 };
 
 }  // namespace hring::telemetry

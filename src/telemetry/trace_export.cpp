@@ -3,6 +3,7 @@
 #include <ostream>
 #include <string>
 
+#include "ring/labeled_ring.hpp"
 #include "support/json.hpp"
 #include "telemetry/trace_writer.hpp"
 
@@ -36,7 +37,7 @@ void write_trace_json(std::ostream& out,
     trace.name_track(kTraceProcessGroup, pid, proc_name);
     const std::string link_name =
         "link p" + std::to_string(pid) + " -> p" +
-        std::to_string(pid + 1 == n ? 0 : pid + 1);
+        std::to_string(ring::right(pid, n));
     trace.name_track(kTraceLinkGroup, pid, link_name);
   }
 

@@ -302,8 +302,8 @@ TEST(CampaignTest, BackendResolution) {
 
 TEST(CampaignTest, SymmetricFixedRingFailsVerificationWithoutAbort) {
   // 1.2.1.2 has rotational symmetry, so it has no true leader: the
-  // true-leader check opts out, as for the uniform source, and A_2's two
-  // leaders are counted as verification failures on both backends.
+  // true-leader check opts out, and A_2's two leaders are counted as
+  // verification failures on both backends.
   for (const auto backend :
        {CampaignBackend::kBatch, CampaignBackend::kScalar}) {
     SweepConfig config;

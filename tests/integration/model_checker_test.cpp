@@ -309,11 +309,16 @@ TEST(ModelCheckerTest, SymmetricRingUnderTheDefaultConfig) {
   EXPECT_EQ(report.configurations, 338u);
   EXPECT_EQ(report.transitions, 766u);
   EXPECT_EQ(report.terminal_configurations, 1u);
-  EXPECT_TRUE(std::any_of(report.violations.begin(), report.violations.end(),
-                          [](const std::string& v) {
-                            return v.find("2 simultaneous leaders") !=
-                                   std::string::npos;
-                          }))
+  const auto reported = [&report](const std::string& what) {
+    return std::any_of(report.violations.begin(), report.violations.end(),
+                       [&what](const std::string& v) {
+                         return v.find(what) != std::string::npos;
+                       });
+  };
+  EXPECT_TRUE(reported("2 simultaneous leaders")) << report.to_string();
+  // The terminal configuration's clause is verify_election's, wording
+  // included.
+  EXPECT_TRUE(reported("expected exactly 1 leader, found 2"))
       << report.to_string();
 }
 

@@ -1,5 +1,5 @@
 // Event-engine edge cases: FIFO clamping under decreasing raw delays,
-// delay-model contracts, and wake handling.
+// the delay kinds' contracts, and wake handling.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,20 +11,6 @@
 
 namespace hring::sim {
 namespace {
-
-/// Alternates slow/fast delays on the same link: raw arrival times would
-/// invert message order; the engine must clamp to FIFO.
-class AlternatingDelay final : public DelayModel {
- public:
-  [[nodiscard]] double delay(ProcessId) override {
-    flip_ = !flip_;
-    return flip_ ? 1.0 : 0.05;
-  }
-  [[nodiscard]] const char* name() const override { return "alternating"; }
-
- private:
-  bool flip_ = false;
-};
 
 /// Sends a burst of three tokens at init; the consumer records order.
 class BurstSender final : public Process {
@@ -67,10 +53,14 @@ class BurstSender final : public Process {
 };
 
 TEST(DelayEdgeTest, FifoPreservedWhenRawDelaysWouldInvert) {
-  // p0 sends 1,2,3 with delays 1.0, 0.05, 1.0: raw arrivals 1.0, 0.05(!),
-  // 2.0-ish — clamping must deliver 1, 2, 3 in order anyway.
+  // p0 sends 1, 2, 3 at time 0 under uniform delays whose first draw
+  // exceeds the second: token 2's raw arrival precedes token 1's, and
+  // clamping must deliver 1, 2, 3 in order anyway.
   const auto ring = ring::LabeledRing::from_values({1, 2});
-  AlternatingDelay delay;
+  const Delay delay(DelayKind::kUniformRandom, 1, ring.size());
+  Delay draws = delay;
+  const double first = draws.of(0);
+  ASSERT_GT(first, draws.of(0));
   const auto factory = [](ProcessId pid, Label id) {
     return std::make_unique<BurstSender>(pid, id);
   };
@@ -84,38 +74,21 @@ TEST(DelayEdgeTest, FifoPreservedWhenRawDelaysWouldInvert) {
   EXPECT_EQ(result.outcome, Outcome::kDeadlock);
 }
 
-TEST(DelayEdgeTest, ConstantDelayRejectsOutOfRange) {
-  EXPECT_DEATH(ConstantDelay(0.0), "precondition");
-  EXPECT_DEATH(ConstantDelay(1.5), "precondition");
-  EXPECT_DEATH(ConstantDelay(-1.0), "precondition");
-}
-
-TEST(DelayEdgeTest, UniformDelayValidatesBounds) {
-  EXPECT_DEATH(UniformDelay(support::Rng(1), 0.0, 0.5), "precondition");
-  EXPECT_DEATH(UniformDelay(support::Rng(1), 0.6, 0.5), "precondition");
-  EXPECT_DEATH(UniformDelay(support::Rng(1), 0.5, 1.5), "precondition");
-}
-
 TEST(DelayEdgeTest, UniformDelaySamplesWithinRange) {
-  UniformDelay delay(support::Rng(5), 0.25, 0.75);
+  Delay delay(DelayKind::kUniformRandom, 5, 4);
   for (int i = 0; i < 500; ++i) {
-    const double d = delay.delay(0);
-    EXPECT_GE(d, 0.25);
-    EXPECT_LE(d, 0.75);
+    const double d = delay.of(0);
+    EXPECT_GE(d, 0.05);
+    EXPECT_LE(d, 1.0);
   }
 }
 
 TEST(DelayEdgeTest, SlowLinkOnlySlowsTheDesignatedLink) {
-  SlowLinkDelay delay(2, 0.1);
-  EXPECT_DOUBLE_EQ(delay.delay(2), 1.0);
-  EXPECT_DOUBLE_EQ(delay.delay(0), 0.1);
-  EXPECT_DOUBLE_EQ(delay.delay(1), 0.1);
-}
-
-TEST(DelayEdgeTest, DelayModelNames) {
-  EXPECT_STREQ(ConstantDelay(1.0).name(), "constant");
-  EXPECT_STREQ(UniformDelay(support::Rng(1), 0.1, 1.0).name(), "uniform");
-  EXPECT_STREQ(SlowLinkDelay(0, 0.5).name(), "slow-link");
+  Delay delay(DelayKind::kSlowLink, /*seed=*/6, 4);  // slow from p_(6 mod 4)
+  EXPECT_DOUBLE_EQ(delay.of(2), 1.0);
+  EXPECT_DOUBLE_EQ(delay.of(0), 0.05);
+  EXPECT_DOUBLE_EQ(delay.of(1), 0.05);
+  EXPECT_DOUBLE_EQ(delay.of(3), 0.05);
 }
 
 }  // namespace

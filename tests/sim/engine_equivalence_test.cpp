@@ -64,8 +64,7 @@ TEST_P(EngineEquivalence, SyncStepAndUnitDelayEventRunsAreIdentical) {
     step.add_observer(&step_log);
     const auto step_result = step.run();
 
-    ConstantDelay delay(1.0);
-    EventEngine event(*ring, factory, delay);
+    EventEngine event(*ring, factory, Delay(DelayKind::kWorstCase, 0, n));
     ActionLog event_log;
     event.add_observer(&event_log);
     const auto event_result = event.run();

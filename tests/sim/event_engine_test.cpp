@@ -17,7 +17,7 @@ ring::LabeledRing small_ring() {
 }
 
 TEST(EventEngineTest, TrivialElectionTerminates) {
-  ConstantDelay delay(1.0);
+  const Delay delay(DelayKind::kWorstCase, 0, 4);
   EventEngine engine(small_ring(), TrivialElectProcess::make(), delay);
   const RunResult result = engine.run();
   EXPECT_EQ(result.outcome, Outcome::kTerminated);
@@ -29,7 +29,7 @@ TEST(EventEngineTest, TrivialElectionTerminates) {
 }
 
 TEST(EventEngineTest, UnitDelayTimeEqualsRingTraversal) {
-  ConstantDelay delay(1.0);
+  const Delay delay(DelayKind::kWorstCase, 0, 4);
   EventEngine engine(small_ring(), TrivialElectProcess::make(), delay);
   const RunResult result = engine.run();
   // The announcement makes n hops of one time unit each; the last action
@@ -38,18 +38,18 @@ TEST(EventEngineTest, UnitDelayTimeEqualsRingTraversal) {
 }
 
 TEST(EventEngineTest, FasterLinksFinishSooner) {
-  ConstantDelay slow(1.0);
-  ConstantDelay fast(0.25);
-  EventEngine e1(small_ring(), TrivialElectProcess::make(), slow);
-  EventEngine e2(small_ring(), TrivialElectProcess::make(), fast);
+  // Slow-link delays are 1.0 on one link and 0.05 on the other three.
+  EventEngine e1(small_ring(), TrivialElectProcess::make(),
+                 Delay(DelayKind::kWorstCase, 0, 4));
+  EventEngine e2(small_ring(), TrivialElectProcess::make(),
+                 Delay(DelayKind::kSlowLink, 0, 4));
   const double t_slow = e1.run().stats.time_units;
   const double t_fast = e2.run().stats.time_units;
-  EXPECT_DOUBLE_EQ(t_fast, 1.0);
   EXPECT_LT(t_fast, t_slow);
 }
 
 TEST(EventEngineTest, UniformDelayStillDeliversEverything) {
-  UniformDelay delay(support::Rng(21), 0.05, 1.0);
+  const Delay delay(DelayKind::kUniformRandom, 21, 4);
   EventEngine engine(small_ring(), TrivialElectProcess::make(), delay);
   const RunResult result = engine.run();
   EXPECT_EQ(result.outcome, Outcome::kTerminated);
@@ -58,7 +58,7 @@ TEST(EventEngineTest, UniformDelayStillDeliversEverything) {
 }
 
 TEST(EventEngineTest, SlowLinkDominatesCompletionTime) {
-  SlowLinkDelay delay(/*slow_from=*/2, /*fast=*/0.05);
+  const Delay delay(DelayKind::kSlowLink, /*seed=*/2, 4);  // slow from p2
   EventEngine engine(small_ring(), TrivialElectProcess::make(), delay);
   const RunResult result = engine.run();
   EXPECT_EQ(result.outcome, Outcome::kTerminated);
@@ -67,14 +67,14 @@ TEST(EventEngineTest, SlowLinkDominatesCompletionTime) {
 }
 
 TEST(EventEngineTest, DeafSendersDeadlock) {
-  ConstantDelay delay(1.0);
+  const Delay delay(DelayKind::kWorstCase, 0, 4);
   EventEngine engine(small_ring(), DeafSenderProcess::make(), delay);
   const RunResult result = engine.run();
   EXPECT_EQ(result.outcome, Outcome::kDeadlock);
 }
 
 TEST(EventEngineTest, ForeverForwardExhaustsBudget) {
-  ConstantDelay delay(1.0);
+  const Delay delay(DelayKind::kWorstCase, 0, 4);
   EventConfig config;
   config.max_actions = 300;
   EventEngine engine(small_ring(), ForeverForwardProcess::make(), delay,
@@ -84,7 +84,7 @@ TEST(EventEngineTest, ForeverForwardExhaustsBudget) {
 }
 
 TEST(EventEngineTest, MessageStatsMatchStepEngine) {
-  ConstantDelay delay(1.0);
+  const Delay delay(DelayKind::kWorstCase, 0, 4);
   EventEngine engine(small_ring(), TrivialElectProcess::make(), delay);
   const RunResult result = engine.run();
   EXPECT_EQ(result.stats.messages_sent, 4u);
@@ -92,7 +92,7 @@ TEST(EventEngineTest, MessageStatsMatchStepEngine) {
 }
 
 TEST(EventEngineTest, StopPredicateHonored) {
-  ConstantDelay delay(1.0);
+  const Delay delay(DelayKind::kWorstCase, 0, 4);
   EventEngine engine(small_ring(), ForeverForwardProcess::make(), delay);
   int called = 0;
   auto stop = [&called] { return ++called >= 5; };

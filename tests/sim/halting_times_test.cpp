@@ -84,9 +84,8 @@ TEST(HaltingTimesTest, FinishWaveHaltsEveryoneWithinNTimeUnits) {
     for (const auto algo :
          {election::AlgorithmId::kAk, election::AlgorithmId::kBk}) {
       HaltingTimes times;
-      ConstantDelay delay(1.0);
-      EventEngine engine(*ring,
-                         election::make_factory({algo, k, false}), delay);
+      EventEngine engine(*ring, election::make_factory({algo, k, false}),
+                         Delay(DelayKind::kWorstCase, 0, n));
       engine.add_observer(&times);
       ASSERT_EQ(engine.run().outcome, Outcome::kTerminated)
           << ring->to_string();
@@ -106,11 +105,10 @@ TEST(HaltingTimesTest, LeaderDecidesFirstInAk) {
   const auto ring = ring::random_asymmetric_ring(9, 2, 7, rng);
   ASSERT_TRUE(ring.has_value());
   HaltingTimes times;
-  ConstantDelay delay(1.0);
   EventEngine engine(
       *ring,
       election::make_factory({election::AlgorithmId::kAk, 2, false}),
-      delay);
+      Delay(DelayKind::kWorstCase, 0, ring->size()));
   engine.add_observer(&times);
   ASSERT_EQ(engine.run().outcome, Outcome::kTerminated);
   const auto leader = ring->true_leader();
@@ -130,12 +128,11 @@ TEST(HaltingTimesTest, EmptyOnUndecidedRun) {
   // A budget-limited run that never elects: no decision, no quiescence.
   const auto ring = ring::LabeledRing::from_values({1, 2, 2});
   HaltingTimes times;
-  ConstantDelay delay(1.0);
   EventConfig config;
   config.max_actions = 5;
   EventEngine engine(
       ring, election::make_factory({election::AlgorithmId::kBk, 2, false}),
-      delay, config);
+      Delay(DelayKind::kWorstCase, 0, ring.size()), config);
   engine.add_observer(&times);
   EXPECT_EQ(engine.run().outcome, Outcome::kBudgetExhausted);
   EXPECT_FALSE(times.first_decision().has_value());

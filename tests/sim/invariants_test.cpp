@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "ring/labeled_ring.hpp"
 #include "sim/engine.hpp"
@@ -172,6 +175,99 @@ TEST(SpecMonitorTest, StopPredicateIntegration) {
   EXPECT_EQ(result.outcome, Outcome::kViolation);
   // Stopped at the first violating step, not at termination.
   EXPECT_EQ(result.stats.steps, 1u);
+}
+
+/// A clean terminal configuration of the ring 1.2.2 that elected p0.
+std::vector<SpecView> elected_p0() {
+  std::vector<SpecView> views;
+  for (ProcessId pid = 0; pid < 3; ++pid) {
+    const Label id(pid == 0 ? 1 : 2);
+    views.push_back(
+        SpecView{pid, id, SpecState{pid == 0, true, true, Label(1)}});
+  }
+  return views;
+}
+
+/// What check_terminal returns and reports on `views`.
+struct TerminalVerdict {
+  std::optional<ProcessId> leader;
+  std::vector<std::string> reports;
+};
+
+TerminalVerdict check_terminal_of(const std::vector<SpecView>& views,
+                                  std::optional<ProcessId> expected = {}) {
+  TerminalVerdict verdict;
+  verdict.leader = check_terminal(
+      views.size(),
+      [&views](ProcessId q) -> const SpecView& { return views[q]; }, expected,
+      [&verdict](const std::string& what) { verdict.reports.push_back(what); });
+  return verdict;
+}
+
+using Reports = std::vector<std::string>;
+
+TEST(CheckTerminalTest, AcceptsACleanElectionAndReturnsItsLeader) {
+  const TerminalVerdict verdict = check_terminal_of(elected_p0(), 0);
+  EXPECT_EQ(verdict.leader, std::optional<ProcessId>(0));
+  EXPECT_EQ(verdict.reports, Reports{});
+}
+
+TEST(CheckTerminalTest, ReportsZeroLeaders) {
+  auto views = elected_p0();
+  views[0].state.is_leader = false;
+  const TerminalVerdict verdict = check_terminal_of(views);
+  EXPECT_FALSE(verdict.leader.has_value());
+  EXPECT_EQ(verdict.reports, Reports{"expected exactly 1 leader, found 0"});
+}
+
+TEST(CheckTerminalTest, ReportsTwoLeaders) {
+  auto views = elected_p0();
+  views[2].state.is_leader = true;
+  const TerminalVerdict verdict = check_terminal_of(views);
+  EXPECT_FALSE(verdict.leader.has_value());
+  EXPECT_EQ(verdict.reports, Reports{"expected exactly 1 leader, found 2"});
+}
+
+TEST(CheckTerminalTest, ReportsAProcessNotDone) {
+  auto views = elected_p0();
+  views[2].state.done = false;
+  const TerminalVerdict verdict = check_terminal_of(views);
+  EXPECT_EQ(verdict.leader, std::optional<ProcessId>(0));
+  EXPECT_EQ(verdict.reports,
+            Reports{"p2 not done in terminal configuration"});
+}
+
+TEST(CheckTerminalTest, ReportsAProcessNotHalted) {
+  auto views = elected_p0();
+  views[1].state.halted = false;
+  const TerminalVerdict verdict = check_terminal_of(views);
+  EXPECT_EQ(verdict.leader, std::optional<ProcessId>(0));
+  EXPECT_EQ(verdict.reports,
+            Reports{"p1 not halted in terminal configuration"});
+}
+
+TEST(CheckTerminalTest, ReportsAnUnsetLeaderVariable) {
+  auto views = elected_p0();
+  views[2].state.leader.reset();
+  const TerminalVerdict verdict = check_terminal_of(views);
+  EXPECT_EQ(verdict.leader, std::optional<ProcessId>(0));
+  EXPECT_EQ(verdict.reports,
+            Reports{"p2.leader unset in terminal configuration"});
+}
+
+TEST(CheckTerminalTest, ReportsLeaderLabelDisagreement) {
+  auto views = elected_p0();
+  views[1].state.leader = Label(2);
+  const TerminalVerdict verdict = check_terminal_of(views);
+  EXPECT_EQ(verdict.leader, std::optional<ProcessId>(0));
+  EXPECT_EQ(verdict.reports, Reports{"p1.leader = 2 but L.id = 1"});
+}
+
+TEST(CheckTerminalTest, ReportsTheWrongExpectedLeader) {
+  const TerminalVerdict verdict = check_terminal_of(elected_p0(), 1);
+  EXPECT_EQ(verdict.leader, std::optional<ProcessId>(0));
+  EXPECT_EQ(verdict.reports,
+            Reports{"elected p0 but the true leader is p1"});
 }
 
 }  // namespace

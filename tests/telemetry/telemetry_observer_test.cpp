@@ -80,8 +80,9 @@ TEST(TelemetryObserver, LatencyCountMatchesReceivesOnHonestLinks) {
 
 TEST(TelemetryObserver, EventEngineUnitDelaysLandInTheirBucket) {
   const auto ring = figure1_ring();
-  sim::ConstantDelay delay(1.0);
-  sim::EventEngine engine(ring, election::BkProcess::factory(3), delay);
+  sim::EventEngine engine(
+      ring, election::BkProcess::factory(3),
+      sim::Delay(sim::DelayKind::kWorstCase, 0, ring.size()));
   TelemetryObserver telemetry;
   engine.add_observer(&telemetry);
   const auto result = engine.run();
