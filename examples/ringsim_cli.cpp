@@ -209,43 +209,26 @@ int main(int argc, char** argv) {
         return EXIT_FAILURE;
       }
     } else if (arg == "--engine") {
-      const std::string v = next();
-      if (v == "step") {
-        config.engine = core::EngineKind::kStep;
-      } else if (v == "event") {
-        config.engine = core::EngineKind::kEvent;
-      } else {
+      const auto engine = core::engine_kind_from_name(next());
+      if (!engine.has_value()) {
         std::cerr << "bad --engine\n";
         return EXIT_FAILURE;
       }
+      config.engine = *engine;
     } else if (arg == "--sched") {
-      const std::string v = next();
-      if (v == "synchronous") {
-        config.scheduler = core::SchedulerKind::kSynchronous;
-      } else if (v == "round-robin") {
-        config.scheduler = core::SchedulerKind::kRoundRobin;
-      } else if (v == "random-single") {
-        config.scheduler = core::SchedulerKind::kRandomSingle;
-      } else if (v == "random-subset") {
-        config.scheduler = core::SchedulerKind::kRandomSubset;
-      } else if (v == "convoy") {
-        config.scheduler = core::SchedulerKind::kConvoy;
-      } else {
+      const auto scheduler = core::scheduler_kind_from_name(next());
+      if (!scheduler.has_value()) {
         std::cerr << "bad --sched\n";
         return EXIT_FAILURE;
       }
+      config.scheduler = *scheduler;
     } else if (arg == "--delay") {
-      const std::string v = next();
-      if (v == "worst-case") {
-        config.delay = core::DelayKind::kWorstCase;
-      } else if (v == "uniform") {
-        config.delay = core::DelayKind::kUniformRandom;
-      } else if (v == "slow-link") {
-        config.delay = core::DelayKind::kSlowLink;
-      } else {
+      const auto delay = core::delay_kind_from_name(next());
+      if (!delay.has_value()) {
         std::cerr << "bad --delay\n";
         return EXIT_FAILURE;
       }
+      config.delay = *delay;
     } else if (arg == "--seed") {
       config.seed = std::stoull(next());
     } else if (arg == "--trace") {

@@ -6,6 +6,29 @@
 #include "support/assert.hpp"
 
 namespace hring::core {
+namespace {
+
+/// The kind among the enumerators up to `last` whose name is `name`.
+template <class Kind>
+std::optional<Kind> kind_from_name(std::string_view name, Kind last,
+                                   const char* (*name_of)(Kind)) {
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    if (name == name_of(static_cast<Kind>(i))) return static_cast<Kind>(i);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+const char* engine_kind_name(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kStep:
+      return "step";
+    case EngineKind::kEvent:
+      return "event";
+  }
+  HRING_ASSERT(false);
+}
 
 const char* scheduler_kind_name(SchedulerKind kind) {
   switch (kind) {
@@ -28,11 +51,23 @@ const char* delay_kind_name(DelayKind kind) {
     case DelayKind::kWorstCase:
       return "worst-case";
     case DelayKind::kUniformRandom:
-      return "uniform-random";
+      return "uniform";
     case DelayKind::kSlowLink:
       return "slow-link";
   }
   HRING_ASSERT(false);
+}
+
+std::optional<EngineKind> engine_kind_from_name(std::string_view name) {
+  return kind_from_name(name, EngineKind::kEvent, engine_kind_name);
+}
+
+std::optional<SchedulerKind> scheduler_kind_from_name(std::string_view name) {
+  return kind_from_name(name, SchedulerKind::kConvoy, scheduler_kind_name);
+}
+
+std::optional<DelayKind> delay_kind_from_name(std::string_view name) {
+  return kind_from_name(name, DelayKind::kSlowLink, delay_kind_name);
 }
 
 sim::RunResult run_election(const ring::LabeledRing& ring,

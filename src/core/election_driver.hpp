@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "election/algorithm.hpp"
@@ -36,8 +37,17 @@ using sim::SchedulerKind;
 /// The event engine's message delays (sim/delay_model.hpp).
 using sim::DelayKind;
 
+/// Each kind's one printed name, and the kind a name spells back (nullopt
+/// for no kind), as election::algorithm_name and algorithm_from_name.
+[[nodiscard]] const char* engine_kind_name(EngineKind kind);
 [[nodiscard]] const char* scheduler_kind_name(SchedulerKind kind);
 [[nodiscard]] const char* delay_kind_name(DelayKind kind);
+[[nodiscard]] std::optional<EngineKind> engine_kind_from_name(
+    std::string_view name);
+[[nodiscard]] std::optional<SchedulerKind> scheduler_kind_from_name(
+    std::string_view name);
+[[nodiscard]] std::optional<DelayKind> delay_kind_from_name(
+    std::string_view name);
 
 struct ElectionConfig {
   election::AlgorithmConfig algorithm;

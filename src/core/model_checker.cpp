@@ -444,6 +444,12 @@ class Checker {
     }
     explore(/*depth=*/0, scan_enabled());
     report_.complete = !budget_exhausted_;
+    for (std::size_t i = 0; i < clauses_.size(); ++i) {
+      if (clauses_[i].second > 0) {
+        report_.violations[i] +=
+            " (+" + std::to_string(clauses_[i].second) + " more)";
+      }
+    }
     return report_;
   }
 
@@ -463,9 +469,24 @@ class Checker {
     std::uint64_t hash;
   };
 
+  /// Files a violation under its clause, the text before " at depth" or
+  /// " at initial configuration": the first message of each of up to 16
+  /// clauses is kept, and later configurations meeting it are counted.
   void fail(const std::string& what) {
     report_.ok = false;
-    if (report_.violations.size() < 16) report_.violations.push_back(what);
+    const std::string clause = what.substr(
+        0, std::min(what.find(" at depth"),
+                    what.find(" at initial configuration")));
+    for (auto& [seen, more] : clauses_) {
+      if (seen == clause) {
+        ++more;
+        return;
+      }
+    }
+    if (clauses_.size() < 16) {
+      clauses_.emplace_back(clause, 0);
+      report_.violations.push_back(what);
+    }
   }
 
   [[nodiscard]] std::size_t in_link(ProcessId pid) const {
@@ -603,10 +624,9 @@ class Checker {
   /// every link.
   void check_terminal() {
     ++report_.terminal_configurations;
-    for (const CheckLink& link : links_) {
-      if (!link.empty()) {
-        fail("message left in flight at terminal configuration");
-      }
+    if (std::any_of(links_.begin(), links_.end(),
+                    [](const CheckLink& link) { return !link.empty(); })) {
+      fail("message left in flight at terminal configuration");
     }
     sim::check_terminal(
         state_.size(),
@@ -676,6 +696,9 @@ class Checker {
   std::optional<ring::ProcessIndex> expected_leader_;
   HashSet visited_;
   ModelCheckReport report_;
+  /// Each violated clause with the number of further configurations that
+  /// met it; clauses_[i] is filed as report_.violations[i].
+  std::vector<std::pair<std::string, std::uint64_t>> clauses_;
   bool budget_exhausted_ = false;
 };
 

@@ -138,6 +138,8 @@ struct ModelCheckReport {
   bool complete = false;
   /// True when no violation was found (in the explored part).
   bool ok = true;
+  /// The first message of each distinct violated clause (at most 16),
+  /// suffixed " (+N more)" when N further configurations met it.
   std::vector<std::string> violations;
   std::uint64_t configurations = 0;  // distinct configurations visited
   std::uint64_t transitions = 0;     // firings explored

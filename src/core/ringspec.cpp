@@ -88,37 +88,23 @@ RingSpecResult parse_ringspec(std::istream& in) {
       }
       explicit_k = static_cast<std::size_t>(*v);
     } else if (key == "engine") {
-      if (value == "step") {
-        config.engine = EngineKind::kStep;
-      } else if (value == "event") {
-        config.engine = EngineKind::kEvent;
-      } else {
+      const auto engine = engine_kind_from_name(value);
+      if (!engine.has_value()) {
         return fail(line_no, "engine must be 'step' or 'event'");
       }
+      config.engine = *engine;
     } else if (key == "sched") {
-      if (value == "synchronous") {
-        config.scheduler = SchedulerKind::kSynchronous;
-      } else if (value == "round-robin") {
-        config.scheduler = SchedulerKind::kRoundRobin;
-      } else if (value == "random-single") {
-        config.scheduler = SchedulerKind::kRandomSingle;
-      } else if (value == "random-subset") {
-        config.scheduler = SchedulerKind::kRandomSubset;
-      } else if (value == "convoy") {
-        config.scheduler = SchedulerKind::kConvoy;
-      } else {
+      const auto scheduler = scheduler_kind_from_name(value);
+      if (!scheduler.has_value()) {
         return fail(line_no, "unknown scheduler '" + value + "'");
       }
+      config.scheduler = *scheduler;
     } else if (key == "delay") {
-      if (value == "worst-case") {
-        config.delay = DelayKind::kWorstCase;
-      } else if (value == "uniform") {
-        config.delay = DelayKind::kUniformRandom;
-      } else if (value == "slow-link") {
-        config.delay = DelayKind::kSlowLink;
-      } else {
+      const auto delay = delay_kind_from_name(value);
+      if (!delay.has_value()) {
         return fail(line_no, "unknown delay model '" + value + "'");
       }
+      config.delay = *delay;
     } else if (key == "seed") {
       const auto v = parse_u64(value);
       if (!v.has_value()) return fail(line_no, "bad seed");

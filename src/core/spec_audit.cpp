@@ -6,6 +6,7 @@
 
 #include "core/experiment.hpp"
 #include "sim/invariants.hpp"
+#include "sim/link.hpp"
 #include "sim/message.hpp"
 #include "support/assert.hpp"
 
@@ -86,7 +87,8 @@ class AuditObserver final : public sim::Observer {
 
   void on_start(const ExecutionView& view) override {
     const std::size_t n = view.process_count();
-    shadow_links_.assign(n, {});
+    shadow_links_.resize(n);
+    for (sim::Link& link : shadow_links_) link.reset();
     hashes_.resize(n);
     for (ProcessId pid = 0; pid < n; ++pid) {
       hashes_[pid] = state_hash(view.process(pid));
@@ -179,23 +181,21 @@ class AuditObserver final : public sim::Observer {
   void audit_fifo(const ActionEvent& event, std::size_t n,
                   const std::string& who) {
     if (event.consumed.has_value()) {
-      auto& in_shadow = shadow_links_[ring::left(event.pid, n)];
-      if (in_shadow.empty()) {
+      sim::Link& in_shadow = shadow_links_[ring::left(event.pid, n)];
+      const Message* expected = in_shadow.head();
+      if (expected == nullptr) {
         report("[fifo] " + who + " received " + to_string(*event.consumed) +
                " but its in-link's send log is empty");
       } else {
-        const Message expected = in_shadow.front();
-        in_shadow.erase(in_shadow.begin());
-        if (!same_message(expected, *event.consumed)) {
+        if (!same_message(*expected, *event.consumed)) {
           report("[fifo] " + who + " received " +
                  to_string(*event.consumed) + " but FIFO order expected " +
-                 to_string(expected));
+                 to_string(*expected));
         }
+        in_shadow.pop();
       }
     }
-    auto& out_shadow = shadow_links_[event.pid];
-    out_shadow.insert(out_shadow.end(), event.sent.begin(),
-                      event.sent.end());
+    for (const Message& msg : event.sent) shadow_links_[event.pid].push(msg);
   }
 
   void report(std::string what) {
@@ -210,7 +210,7 @@ class AuditObserver final : public sim::Observer {
   std::optional<std::size_t> space_bound_bits_;
   bool record_only_;
 
-  std::vector<std::vector<Message>> shadow_links_;  // [i]: p_i -> p_{i+1}
+  std::vector<sim::Link> shadow_links_;  // [i]: p_i -> p_{i+1}
   std::vector<std::uint64_t> hashes_;
   std::vector<std::string> log_;
   std::vector<std::string> violations_;

@@ -96,15 +96,15 @@ class Process {
   }
 
   // -- spec variables ------------------------------------------------------
-  // Virtual so that scripted test processes can present arbitrary spec
-  // trajectories to the monitor/auditor (e.g. an isLeader revert, which no
-  // protected mutator can produce). Real algorithms never override these.
+  // Plain reads: the engines and the monitor read them on every pass. A
+  // test process presents any trajectory, reverts included, by clearing
+  // them with restart_spec() and setting them again with the mutators.
   [[nodiscard]] ProcessId pid() const { return pid_; }
   [[nodiscard]] Label id() const { return id_; }
-  [[nodiscard]] virtual bool is_leader() const { return is_leader_; }
-  [[nodiscard]] virtual bool done() const { return done_; }
-  [[nodiscard]] virtual std::optional<Label> leader() const { return leader_; }
-  [[nodiscard]] virtual bool halted() const { return halted_; }
+  [[nodiscard]] bool is_leader() const { return is_leader_; }
+  [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] std::optional<Label> leader() const { return leader_; }
+  [[nodiscard]] bool halted() const { return halted_; }
 
  protected:
   /// Copying is reserved for subclasses: BatchRunner

@@ -120,8 +120,9 @@ struct StepLog {
   }
 };
 
-/// Forwards every virtual to an inner process and notes each enabled()
-/// and fire() call in a StepLog.
+/// Forwards every virtual to an inner process, notes each enabled() and
+/// fire() call in a StepLog, and copies the inner process's spec variables
+/// into its own after each fire() and decode().
 class LoggingProcess final : public sim::Process {
  public:
   LoggingProcess(std::unique_ptr<sim::Process> inner, StepLog& log)
@@ -138,6 +139,7 @@ class LoggingProcess final : public sim::Process {
     ++log_.fires;
     log_.note(log_.fired, pid(), *inner_, head);
     inner_->fire(head, ctx);
+    copy_spec();
   }
 
   [[nodiscard]] std::size_t space_bits(std::size_t label_bits)
@@ -155,19 +157,20 @@ class LoggingProcess final : public sim::Process {
 
   [[nodiscard]] bool decode(const std::uint64_t*& it,
                             const std::uint64_t* end) override {
-    return inner_->decode(it, end);
+    const bool restored = inner_->decode(it, end);
+    copy_spec();
+    return restored;
   }
-
-  [[nodiscard]] bool is_leader() const override {
-    return inner_->is_leader();
-  }
-  [[nodiscard]] bool done() const override { return inner_->done(); }
-  [[nodiscard]] std::optional<sim::Label> leader() const override {
-    return inner_->leader();
-  }
-  [[nodiscard]] bool halted() const override { return inner_->halted(); }
 
  private:
+  void copy_spec() {
+    restart_spec(inner_->pid(), inner_->id());
+    if (inner_->is_leader()) declare_leader();
+    if (inner_->done()) set_done();
+    if (inner_->halted()) halt_self();
+    if (inner_->leader().has_value()) set_leader_label(*inner_->leader());
+  }
+
   std::unique_ptr<sim::Process> inner_;
   StepLog& log_;
 };
@@ -320,6 +323,26 @@ TEST(ModelCheckerTest, SymmetricRingUnderTheDefaultConfig) {
   // included.
   EXPECT_TRUE(reported("expected exactly 1 leader, found 2"))
       << report.to_string();
+}
+
+TEST(ModelCheckerTest, NamesEachViolatedClauseOnceWithItsRepeats) {
+  // A_1 on 1.2.1.2 has two leaders on many configurations. Each clause,
+  // the text before " at depth" or " at initial configuration", is named
+  // once, with the number of further configurations that met it.
+  const auto ring = ring::LabeledRing::from_values({1, 2, 1, 2});
+  const auto report = check_all_schedules(ring, {AlgorithmId::kAk, 1, false});
+  EXPECT_FALSE(report.ok);
+  std::set<std::string> clauses;
+  bool repeats_shown = false;
+  for (const std::string& v : report.violations) {
+    const std::string clause = v.substr(
+        0, std::min(v.find(" at depth"), v.find(" at initial configuration")));
+    EXPECT_TRUE(clauses.insert(clause).second) << report.to_string();
+    repeats_shown |= v.find(" more)") != std::string::npos;
+  }
+  EXPECT_EQ(clauses.count("2 simultaneous leaders"), 1u)
+      << report.to_string();
+  EXPECT_TRUE(repeats_shown) << report.to_string();
 }
 
 TEST(ModelCheckerTest, CatchesTheFoolingRingViolation) {

@@ -87,6 +87,31 @@ TEST(RingSpecTest, RejectsMalformedLines) {
       parse_ringspec("ring = 1,2\nengine = quantum\n").error.has_value());
 }
 
+TEST(RingSpecTest, EveryKindParsesBackFromItsPrintedName) {
+  const auto parse = [](const std::string& line) {
+    const auto result = parse_ringspec("ring = 1,2\n" + line + "\n");
+    EXPECT_TRUE(result.spec.has_value()) << line;
+    return result.spec.has_value() ? result.spec->config : ElectionConfig{};
+  };
+  for (const auto kind : {EngineKind::kStep, EngineKind::kEvent}) {
+    EXPECT_EQ(parse(std::string("engine = ") + engine_kind_name(kind)).engine,
+              kind);
+  }
+  for (const auto kind :
+       {SchedulerKind::kSynchronous, SchedulerKind::kRoundRobin,
+        SchedulerKind::kRandomSingle, SchedulerKind::kRandomSubset,
+        SchedulerKind::kConvoy}) {
+    EXPECT_EQ(
+        parse(std::string("sched = ") + scheduler_kind_name(kind)).scheduler,
+        kind);
+  }
+  for (const auto kind : {DelayKind::kWorstCase, DelayKind::kUniformRandom,
+                          DelayKind::kSlowLink}) {
+    EXPECT_EQ(parse(std::string("delay = ") + delay_kind_name(kind)).delay,
+              kind);
+  }
+}
+
 TEST(RingSpecTest, ParsedSpecActuallyRuns) {
   const auto result = parse_ringspec(
       "ring = 1,2,2\nalgo = Bk\nk = 2\nsched = round-robin\n");

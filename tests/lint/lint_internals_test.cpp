@@ -1,8 +1,9 @@
 // Unit tests for the hring-lint analysis core (tools/hring_lint): the
 // tokenizer, the structural model, and — most load-bearing — the
-// consume-path analysis that backs the consume-discipline check. The
-// fixture suite in tests/lint/fixtures exercises the checks end to end;
-// these tests pin the primitives they are built on.
+// statement tree with the consume-path fold over it that backs the
+// consume-discipline check. The fixture suite in tests/lint/fixtures
+// exercises the checks end to end; these tests pin the primitives they
+// are built on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -180,6 +181,31 @@ TEST(ConsumePaths, LoopWithoutConsumeIsClean) {
   EXPECT_EQ(s.max_on_path, 1u);
 }
 
+TEST(ConsumePaths, DoWhileConditionFlagsOnlyAnOuterLoop) {
+  // The condition is scanned outside its own loop and never counted.
+  const ConsumeSummary alone =
+      analyze("do { relay(); } while (ctx.consume()); ctx.consume();");
+  EXPECT_FALSE(alone.in_loop);
+  EXPECT_EQ(alone.max_on_path, 1u);
+  const ConsumeSummary nested =
+      analyze("while (x) { do { relay(); } while (ctx.consume()); }");
+  EXPECT_TRUE(nested.in_loop);
+  EXPECT_EQ(nested.max_on_path, 0u);
+}
+
+TEST(ConsumePaths, DeadCodeIsScannedOnlyInASwitchSegment) {
+  EXPECT_FALSE(analyze("while (x) { return; ctx.consume(); }").in_loop);
+  EXPECT_TRUE(
+      analyze("while (x) { switch (k) { case kA: return; ctx.consume(); } }")
+          .in_loop);
+}
+
+TEST(ConsumePaths, ThrowEndsAPathAndGotoContinuesIt) {
+  EXPECT_EQ(analyze("ctx.consume(); throw f(ctx.consume());").max_on_path, 0u);
+  EXPECT_EQ(analyze("ctx.consume(); goto out; ctx.consume();").max_on_path,
+            2u);
+}
+
 
 // ---------------------------------------------------------------------------
 // Lexer edge cases the IR extractor walks through.
@@ -346,6 +372,29 @@ TEST(ConcurrencyStmts, DominationRequiresEveryPath) {
   // Within the branch, the condition dominates its body.
   const std::size_t urgent = tok_index(f, "urgent");
   EXPECT_TRUE(dominated_by_range(tree, maybe, urgent, urgent + 1));
+}
+
+TEST(ConcurrencyStmts, SwitchLabelsAreChildrenTheQueriesSkip) {
+  const SourceFile f = lex_snippet(
+      "while (run) {\n"
+      "  switch (k) { case kA: publish(); break; default: other(); }\n"
+      "}\n"
+      "notify();\n");
+  const Stmt tree = build_stmt_tree(f, 0, f.tokens.size() - 1);
+  const Stmt& sw = tree.children[0].children[0].children[0];
+  ASSERT_EQ(sw.kind, Stmt::Kind::kSwitch);
+  ASSERT_EQ(sw.children.size(), 5u);
+  EXPECT_EQ(sw.children[0].kind, Stmt::Kind::kLabel);
+  EXPECT_EQ(sw.children[3].kind, Stmt::Kind::kLabel);
+  EXPECT_TRUE(f.tokens[sw.children[3].begin].is("default"));
+  EXPECT_TRUE(loop_enclosed(tree, tok_index(f, "kA")));
+  // A label token is dominated by its switch, not only by its own label.
+  const std::size_t sw_tok = tok_index(f, "switch");
+  EXPECT_TRUE(
+      dominated_by_range(tree, tok_index(f, "kA"), sw_tok, sw_tok + 1));
+  const std::size_t publish = tok_index(f, "publish");
+  EXPECT_FALSE(
+      dominated_by_range(tree, tok_index(f, "notify"), publish, publish + 1));
 }
 
 }  // namespace

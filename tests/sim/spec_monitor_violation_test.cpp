@@ -1,10 +1,10 @@
 // SpecMonitor negative paths that no real Process can produce through the
 // protected mutators (declare_leader/set_done/halt_self only ever move
 // forward): isLeader and done reverts, resuming after halt, and leader
-// re-targeting after done. A ScriptedProcess overrides the virtual spec
-// getters to present arbitrary trajectories, and a minimal ExecutionView
-// drives the monitor directly — no engine in the loop, so each check is
-// exercised in isolation.
+// re-targeting after done. A ScriptedProcess presents an arbitrary
+// trajectory through restart_spec() and the forward mutators, and a
+// minimal ExecutionView drives the monitor directly — no engine in the
+// loop, so each check is exercised in isolation.
 #include "sim/invariants.hpp"
 
 #include <gtest/gtest.h>
@@ -32,11 +32,14 @@ class ScriptedProcess final : public Process {
 
   SpecState now;
 
-  [[nodiscard]] bool is_leader() const override { return now.is_leader; }
-  [[nodiscard]] bool done() const override { return now.done; }
-  [[nodiscard]] bool halted() const override { return now.halted; }
-  [[nodiscard]] std::optional<Label> leader() const override {
-    return now.leader;
+  /// Sets the spec variables to `now`: restart_spec() clears them and the
+  /// mutators set what `now` holds, so a revert is one more call.
+  void present() {
+    restart_spec(pid(), id());
+    if (now.is_leader) declare_leader();
+    if (now.done) set_done();
+    if (now.halted) halt_self();
+    if (now.leader.has_value()) set_leader_label(*now.leader);
   }
 
   // Never fired: the monitor only reads spec variables.
@@ -49,7 +52,8 @@ class ScriptedProcess final : public Process {
 };
 
 /// Hand-cranked execution: the test mutates the scripted processes and
-/// advances the step counter between on_step_end calls.
+/// advances the step counter between on_step_end calls. Each read of a
+/// process presents its scripted state.
 class ScriptedView final : public ExecutionView {
  public:
   explicit ScriptedView(std::size_t n) {
@@ -64,6 +68,7 @@ class ScriptedView final : public ExecutionView {
     return procs_.size();
   }
   [[nodiscard]] const Process& process(ProcessId pid) const override {
+    procs_[pid]->present();
     return *procs_[pid];
   }
   [[nodiscard]] const Link& out_link(ProcessId pid) const override {

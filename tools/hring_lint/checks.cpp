@@ -1,7 +1,6 @@
 #include "checks.hpp"
 
-#include <array>
-#include <optional>
+#include <algorithm>
 #include <set>
 #include <string_view>
 
@@ -13,26 +12,6 @@ namespace {
 
 [[nodiscard]] bool is_member_ident(const Token& tok) {
   return tok.is_ident() && tok.text.size() > 1 && tok.text.back() == '_';
-}
-
-[[nodiscard]] bool suppressed(const SourceFile& file, std::uint32_t line,
-                              const std::string& check) {
-  for (const Comment& c : file.comments) {
-    if (c.line != line) continue;
-    const std::size_t at = c.text.find("hring-nolint");
-    if (at == std::string_view::npos) continue;
-    const std::size_t paren = c.text.find('(', at);
-    if (paren == std::string_view::npos) return true;  // bare: all checks
-    if (c.text.find(check, paren) != std::string_view::npos) return true;
-  }
-  return false;
-}
-
-void emit(const SourceFile& file, std::uint32_t line, std::uint32_t col,
-          const std::string& check, std::string message,
-          std::vector<Diagnostic>& diags) {
-  if (suppressed(file, line, check)) return;
-  diags.push_back({file.path, line, col, check, std::move(message)});
 }
 
 /// True when tokens[i] is the name of a call: `name (`.
@@ -48,26 +27,29 @@ void emit(const SourceFile& file, std::uint32_t line, std::uint32_t col,
 // ---------------------------------------------------------------------------
 // codec-symmetry
 
-void check_codec_symmetry(const Model& model, std::vector<Diagnostic>& diags) {
+std::size_t check_codec_symmetry(const Model& model,
+                                 std::vector<Diagnostic>& diags) {
+  std::size_t classes = 0;
   for (const auto& [name, cls] : model.classes) {
     if (name.empty() || !model.derives_from(name)) continue;
+    ++classes;
     const bool has_enc = !model.methods_named(cls, "encode").empty();
     const bool has_dec = !model.methods_named(cls, "decode").empty();
     if (has_enc && !has_dec && cls.file != nullptr) {
-      emit(*cls.file, cls.line, 1, "codec-symmetry",
-           "class '" + name +
-               "' overrides encode() but not decode(); the model checker's "
-               "snapshot restore would silently fall back to "
-               "Process::decode",
-           diags);
+      emit_diag(*cls.file, cls.line, 1, "codec-symmetry",
+                "class '" + name +
+                    "' overrides encode() but not decode(); the model "
+                    "checker's snapshot restore would silently fall back to "
+                    "Process::decode",
+                diags);
     }
     if (has_dec && !has_enc && cls.file != nullptr) {
-      emit(*cls.file, cls.line, 1, "codec-symmetry",
-           "class '" + name +
-               "' overrides decode() but not encode(); snapshots taken via "
-               "the inherited encode() cannot carry the state decode() "
-               "restores",
-           diags);
+      emit_diag(*cls.file, cls.line, 1, "codec-symmetry",
+                "class '" + name +
+                    "' overrides decode() but not encode(); snapshots taken "
+                    "via the inherited encode() cannot carry the state "
+                    "decode() restores",
+                diags);
     }
     for (const MethodInfo* m : model.methods_named(cls, "decode")) {
       if (!m->has_body || m->file == nullptr) continue;
@@ -80,29 +62,31 @@ void check_codec_symmetry(const Model& model, std::vector<Diagnostic>& diags) {
         }
       }
       if (call_idx == m->body_end) {
-        emit(*m->file, m->line, 1, "codec-symmetry",
-             "decode() must restore the spec variables via "
-             "decode_spec_vars before reading its own fields",
-             diags);
+        emit_diag(*m->file, m->line, 1, "codec-symmetry",
+                  "decode() must restore the spec variables via "
+                  "decode_spec_vars before reading its own fields",
+                  diags);
         continue;
       }
       for (std::size_t i = m->body_begin; i < call_idx; ++i) {
         if (is_member_ident(t[i]) || t[i].is("this")) {
-          emit(*m->file, t[i].line, t[i].col, "codec-symmetry",
-               "decode() touches '" + std::string(t[i].text) +
-                   "' before decode_spec_vars has restored the spec "
-                   "variables",
-               diags);
+          emit_diag(*m->file, t[i].line, t[i].col, "codec-symmetry",
+                    "decode() touches '" + std::string(t[i].text) +
+                        "' before decode_spec_vars has restored the spec "
+                        "variables",
+                    diags);
         }
       }
     }
   }
+  return classes;
 }
 
 // ---------------------------------------------------------------------------
 // guard-purity
 
-void check_guard_purity(const Model& model, std::vector<Diagnostic>& diags) {
+std::size_t check_guard_purity(const Model& model,
+                               std::vector<Diagnostic>& diags) {
   static const std::set<std::string_view> kContextOps = {"consume", "send",
                                                          "note_action"};
   static const std::set<std::string_view> kSpecMutators = {
@@ -110,46 +94,48 @@ void check_guard_purity(const Model& model, std::vector<Diagnostic>& diags) {
   static const std::set<std::string_view> kAssignOps = {
       "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
 
+  std::size_t bodies = 0;
   for (const auto& [name, cls] : model.classes) {
     if (name.empty() || !model.derives_from(name)) continue;
     std::set<std::pair<std::string, std::uint32_t>> seen;
     for (const MethodInfo* m : model.methods_named(cls, "enabled")) {
       if (m->file == nullptr) continue;
       if (!m->is_const && seen.insert({m->file->path, m->line}).second) {
-        emit(*m->file, m->line, 1, "guard-purity",
-             "enabled() must be declared const: guards are side-effect "
-             "free (model §II)",
-             diags);
+        emit_diag(*m->file, m->line, 1, "guard-purity",
+                  "enabled() must be declared const: guards are side-effect "
+                  "free (model §II)",
+                  diags);
       }
       if (!m->has_body) continue;
+      ++bodies;
       const std::vector<Token>& t = m->file->tokens;
       for (std::size_t i = m->body_begin; i < m->body_end; ++i) {
         const Token& tok = t[i];
         if (is_call(t, i)) {
           if (kContextOps.count(tok.text) > 0) {
-            emit(*m->file, tok.line, tok.col, "guard-purity",
-                 "enabled() calls Context::" + std::string(tok.text) +
-                     "(); guards may only inspect state, never "
-                     "consume/send/label",
-                 diags);
+            emit_diag(*m->file, tok.line, tok.col, "guard-purity",
+                      "enabled() calls Context::" + std::string(tok.text) +
+                          "(); guards may only inspect state, never "
+                          "consume/send/label",
+                      diags);
           } else if (!has_receiver(t, i) &&
                      kSpecMutators.count(tok.text) > 0) {
-            emit(*m->file, tok.line, tok.col, "guard-purity",
-                 "enabled() calls the spec mutator " +
-                     std::string(tok.text) + "()",
-                 diags);
+            emit_diag(*m->file, tok.line, tok.col, "guard-purity",
+                      "enabled() calls the spec mutator " +
+                          std::string(tok.text) + "()",
+                      diags);
           } else if (!has_receiver(t, i) &&
                      model.has_nonconst_method(cls, std::string(tok.text))) {
-            emit(*m->file, tok.line, tok.col, "guard-purity",
-                 "enabled() calls the non-const member '" +
-                     std::string(tok.text) + "'",
-                 diags);
+            emit_diag(*m->file, tok.line, tok.col, "guard-purity",
+                      "enabled() calls the non-const member '" +
+                          std::string(tok.text) + "'",
+                      diags);
           }
           continue;
         }
         if (tok.is("const_cast")) {
-          emit(*m->file, tok.line, tok.col, "guard-purity",
-               "enabled() casts away const", diags);
+          emit_diag(*m->file, tok.line, tok.col, "guard-purity",
+                    "enabled() casts away const", diags);
           continue;
         }
         // Member mutation: `x_ = ...`, `this->x = ...`, `x_[i] = ...`,
@@ -179,205 +165,141 @@ void check_guard_purity(const Model& model, std::vector<Diagnostic>& diags) {
           member = true;
         }
         if (member) {
-          emit(*m->file, tok.line, tok.col, "guard-purity",
-               "enabled() mutates a member; guards are side-effect free",
-               diags);
+          emit_diag(*m->file, tok.line, tok.col, "guard-purity",
+                    "enabled() mutates a member; guards are side-effect free",
+                    diags);
         }
       }
     }
   }
+  return bodies;
 }
 
 // ---------------------------------------------------------------------------
 // consume-discipline
 
-class ConsumePathAnalyzer {
- public:
-  ConsumePathAnalyzer(const SourceFile& file, std::size_t begin,
-                      std::size_t end)
-      : t_(file.tokens), end_(end), pos_(begin) {}
+/// Most consume() calls along the paths that fall through, break or
+/// continue out, and return out of a statement; -1 = no such path.
+struct Paths {
+  int cont = 0;
+  int brk = -1;
+  int ret = -1;
+};
 
-  [[nodiscard]] ConsumeSummary run() {
-    const Paths p = parse_seq(end_);
-    ConsumeSummary s;
-    s.in_loop = in_loop_;
-    s.max_on_path = static_cast<std::size_t>(
-        std::max({p.cont, p.brk, p.ret, 0}));
-    return s;
+/// The consume-path analysis as a fold over build_stmt_tree.
+class ConsumeFold {
+ public:
+  explicit ConsumeFold(const std::vector<Token>& t) : t_(t) {}
+
+  Paths stmt(const Stmt& s) {
+    switch (s.kind) {
+      case Stmt::Kind::kBlock:
+        return block(s);
+      case Stmt::Kind::kIf:
+        return branch(s);
+      case Stmt::Kind::kLoop:
+        return loop(s);
+      case Stmt::Kind::kSwitch:
+        return cases(s);
+      case Stmt::Kind::kReturn:
+        return {-1, -1, scan(s.begin, s.end)};
+      case Stmt::Kind::kJump:
+        if (t_[s.begin].is("throw")) return {-1, -1, -1};
+        if (!t_[s.begin].is("goto")) return {-1, 0, -1};
+        break;  // goto counts as an expression
+      case Stmt::Kind::kExpr:
+      case Stmt::Kind::kLabel:
+        break;
+    }
+    if (is_noreturn_stmt(s.begin, s.end)) return {-1, -1, -1};
+    return {scan(s.begin, s.end), -1, -1};
   }
+
+  bool in_loop = false;
 
  private:
-  /// Max consume() calls along paths that fall through / break-or-continue
-  /// out / return out of the construct; -1 = no such path.
-  struct Paths {
-    int cont = 0;
-    int brk = -1;
-    int ret = -1;
-  };
-
-  [[nodiscard]] bool at(std::string_view s) const {
-    return pos_ < end_ && t_[pos_].is(s);
-  }
-
   /// Counts consume() calls in [from, to); flags loop containment.
-  int count_consumes(std::size_t from, std::size_t to) {
+  int scan(std::size_t from, std::size_t to) {
     int n = 0;
     for (std::size_t i = from; i < to; ++i) {
       if (t_[i].is("consume") && i + 1 < to && t_[i + 1].is("(")) {
         ++n;
-        if (loop_depth_ > 0) in_loop_ = true;
+        if (loop_depth_ > 0) in_loop = true;
       }
     }
     return n;
   }
 
-  std::size_t skip_match(std::size_t i, std::string_view open,
-                         std::string_view close) {
-    std::size_t depth = 0;
-    for (; i < end_; ++i) {
-      if (t_[i].is(open)) ++depth;
-      if (t_[i].is(close) && --depth == 0) return i + 1;
+  /// Statements in sequence; those after a terminator are dead, unscanned.
+  Paths block(const Stmt& s) {
+    Paths r;
+    for (const Stmt& child : s.children) {
+      const Paths p = stmt(child);
+      if (p.ret >= 0) r.ret = std::max(r.ret, r.cont + p.ret);
+      if (p.brk >= 0) r.brk = std::max(r.brk, r.cont + p.brk);
+      if (p.cont < 0) return {-1, r.brk, r.ret};
+      r.cont += p.cont;
     }
-    return i;
+    return r;
   }
 
-  /// Consumes one statement starting at pos_.
-  Paths parse_stmt() {
-    if (at("{")) {
-      const std::size_t close = skip_match(pos_, "{", "}");
-      const std::size_t save = pos_;
-      pos_ = save + 1;
-      const Paths p = parse_seq(close - 1);
-      pos_ = close;
-      return p;
-    }
-    if (at("if")) {
-      ++pos_;
-      if (at("constexpr")) ++pos_;
-      const std::size_t cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      const int c0 = count_consumes(cond_begin, pos_);
-      const Paths a = parse_stmt();
-      Paths b{0, -1, -1};
-      if (at("else")) {
-        ++pos_;
-        b = parse_stmt();
+  Paths branch(const Stmt& s) {
+    const int c0 = scan(s.cond_begin, s.cond_end);
+    const Paths a = stmt(s.children[0]);
+    const Paths b = s.children.size() > 1 ? stmt(s.children[1]) : Paths{};
+    const auto join = [c0](int x, int y) {
+      const int m = std::max(x, y);
+      return m >= 0 ? m + c0 : m;
+    };
+    return {join(a.cont, b.cont), join(a.brk, b.brk), join(a.ret, b.ret)};
+  }
+
+  /// A do-while condition is scanned outside the loop and never counted.
+  Paths loop(const Stmt& s) {
+    const bool is_do = t_[s.begin].is("do");
+    ++loop_depth_;
+    const int head = is_do ? 0 : scan(s.cond_begin, s.cond_end);
+    const Paths body = stmt(s.children[0]);
+    --loop_depth_;
+    if (is_do) scan(s.cond_begin, s.cond_end);
+    return {head + std::max({body.cont, body.brk, 0}), -1,
+            body.ret >= 0 ? head + body.ret : -1};
+  }
+
+  /// Each case/default label opens a segment; statements within a segment
+  /// combine sequentially, segments combine as alternatives, and `break`
+  /// exits the switch. Fallthrough between consuming cases is not modeled
+  /// (§II actions do not rely on it), and a switch whose every segment
+  /// terminates — with a default present — has no fall-out path at all
+  /// (Peterson's relay switch ends in `default: HRING_ASSERT(false);`).
+  /// Dead statements after a terminator are still scanned.
+  Paths cases(const Stmt& s) {
+    const int c0 = scan(s.cond_begin, s.cond_end);
+    if (s.end == s.cond_end) return {};  // no braced body
+    bool has_default = false;
+    int best = -1;      // max consumes on a fall-out or break path
+    int best_ret = -1;  // max consumes on a return path
+    int running = 0;    // current segment; -1 once it terminated
+    int seg_stmts = 0;  // adjacent labels share one (empty) segment
+    for (const Stmt& child : s.children) {
+      if (child.kind == Stmt::Kind::kLabel) {
+        has_default |= t_[child.begin].is("default");
+        if (seg_stmts > 0 && running >= 0) best = std::max(best, running);
+        running = 0;
+        seg_stmts = 0;
+        continue;
       }
-      Paths r;
-      r.cont = std::max(a.cont, b.cont);
-      if (r.cont >= 0) r.cont += c0;
-      r.brk = std::max(a.brk, b.brk);
-      if (r.brk >= 0) r.brk += c0;
-      r.ret = std::max(a.ret, b.ret);
-      if (r.ret >= 0) r.ret += c0;
-      return r;
+      const Paths p = stmt(child);
+      ++seg_stmts;
+      if (running < 0) continue;
+      if (p.ret >= 0) best_ret = std::max(best_ret, running + p.ret);
+      if (p.brk >= 0) best = std::max(best, running + p.brk);
+      running = p.cont >= 0 ? running + p.cont : -1;
     }
-    if (at("while") || at("for")) {
-      ++pos_;
-      const std::size_t head_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      ++loop_depth_;
-      const int head = count_consumes(head_begin, pos_);
-      const Paths body = parse_stmt();
-      --loop_depth_;
-      Paths r;
-      r.cont = head + std::max({body.cont, body.brk, 0});
-      if (body.ret >= 0) r.ret = head + body.ret;
-      return r;
-    }
-    if (at("do")) {
-      ++pos_;
-      ++loop_depth_;
-      const Paths body = parse_stmt();
-      --loop_depth_;
-      if (at("while")) {
-        ++pos_;
-        const std::size_t head_begin = pos_;
-        pos_ = skip_match(pos_, "(", ")");
-        count_consumes(head_begin, pos_);
-      }
-      if (at(";")) ++pos_;
-      Paths r;
-      r.cont = std::max({body.cont, body.brk, 0});
-      r.ret = body.ret;
-      return r;
-    }
-    if (at("switch")) {
-      ++pos_;
-      const std::size_t cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      const int c0 = count_consumes(cond_begin, pos_);
-      Paths r;
-      if (!at("{")) return r;
-      const std::size_t close = skip_match(pos_, "{", "}");
-      ++pos_;
-      // Each case/default label opens a segment; statements within a
-      // segment combine sequentially, segments combine as alternatives.
-      // `break` exits the switch. Fallthrough between consuming cases is
-      // not modeled (§II actions do not rely on it), and a switch whose
-      // every segment terminates — with a default present — has no
-      // fall-out path at all (Peterson's relay switch ends in
-      // `default: HRING_ASSERT(false);`).
-      bool has_default = false;
-      int best = -1;      // max consumes on a fall-out or break path
-      int best_ret = -1;  // max consumes on a return path
-      int running = 0;    // current segment; -1 once it terminated
-      int seg_stmts = 0;  // adjacent labels share one (empty) segment
-      while (pos_ < close - 1) {
-        if (at("case") || at("default")) {
-          has_default |= at("default");
-          if (seg_stmts > 0 && running >= 0) best = std::max(best, running);
-          running = 0;
-          seg_stmts = 0;
-          while (pos_ < close - 1 && !at(":")) ++pos_;
-          ++pos_;
-          continue;
-        }
-        const std::size_t before = pos_;
-        const std::size_t saved_end = end_;
-        end_ = close - 1;
-        const Paths s = parse_stmt();
-        end_ = saved_end;
-        if (pos_ == before) {  // safety: always make progress
-          ++pos_;
-          continue;
-        }
-        ++seg_stmts;
-        if (running < 0) continue;  // dead code after a terminator
-        if (s.ret >= 0) best_ret = std::max(best_ret, running + s.ret);
-        if (s.brk >= 0) best = std::max(best, running + s.brk);
-        running = s.cont >= 0 ? running + s.cont : -1;
-      }
-      pos_ = close;
-      if (seg_stmts > 0 && running >= 0) best = std::max(best, running);
-      if (!has_default) best = std::max(best, 0);  // no-matching-label path
-      r.cont = best >= 0 ? c0 + best : -1;
-      if (best_ret >= 0) r.ret = c0 + best_ret;
-      return r;
-    }
-    if (at("return")) {
-      const std::size_t begin = pos_;
-      pos_ = skip_expression_to_semicolon();
-      return {-1, -1, count_consumes(begin, pos_)};
-    }
-    if (at("break") || at("continue")) {
-      ++pos_;
-      if (at(";")) ++pos_;
-      return {-1, 0, -1};
-    }
-    if (at("else") || at(";")) {  // stray
-      ++pos_;
-      return {0, -1, -1};
-    }
-    if (at("throw")) {
-      pos_ = skip_expression_to_semicolon();
-      return {-1, -1, -1};
-    }
-    // Expression / declaration statement.
-    const std::size_t begin = pos_;
-    pos_ = skip_expression_to_semicolon();
-    if (is_noreturn_stmt(begin, pos_)) return {-1, -1, -1};
-    return {count_consumes(begin, pos_), -1, -1};
+    if (seg_stmts > 0 && running >= 0) best = std::max(best, running);
+    if (!has_default) best = std::max(best, 0);  // no-matching-label path
+    return {best >= 0 ? c0 + best : -1, -1,
+            best_ret >= 0 ? c0 + best_ret : -1};
   }
 
   /// True for statements that provably never complete: `HRING_ASSERT(false)`
@@ -404,79 +326,37 @@ class ConsumePathAnalyzer {
     return false;
   }
 
-  std::size_t skip_expression_to_semicolon() {
-    std::size_t i = pos_;
-    while (i < end_) {
-      if (t_[i].is("(")) {
-        i = skip_match(i, "(", ")");
-        continue;
-      }
-      if (t_[i].is("{")) {
-        i = skip_match(i, "{", "}");
-        continue;
-      }
-      if (t_[i].is(";")) return i + 1;
-      ++i;
-    }
-    return i;
-  }
-
-  Paths parse_seq(std::size_t end) {
-    int running = 0;
-    int brk = -1;
-    int ret = -1;
-    while (pos_ < end) {
-      const std::size_t before = pos_;
-      const std::size_t saved_end = end_;
-      end_ = end;
-      const Paths r = parse_stmt();
-      end_ = saved_end;
-      if (pos_ == before) {  // safety: always make progress
-        ++pos_;
-        continue;
-      }
-      if (r.ret >= 0) ret = std::max(ret, running + r.ret);
-      if (r.brk >= 0) brk = std::max(brk, running + r.brk);
-      if (r.cont >= 0) {
-        running += r.cont;
-      } else {
-        pos_ = end;
-        return {-1, brk, ret};
-      }
-    }
-    return {running, brk, ret};
-  }
-
   const std::vector<Token>& t_;
-  std::size_t end_;
-  std::size_t pos_;
   int loop_depth_ = 0;
-  bool in_loop_ = false;
 };
 
-void check_consume_discipline(const Model& model,
-                              std::vector<Diagnostic>& diags) {
+std::size_t check_consume_discipline(const Model& model,
+                                     std::vector<Diagnostic>& diags) {
+  std::size_t bodies = 0;
   for (const auto& [name, cls] : model.classes) {
     if (name.empty() || !model.derives_from(name)) continue;
     for (const MethodInfo* m : model.methods_named(cls, "fire")) {
       if (!m->has_body || m->file == nullptr) continue;
+      ++bodies;
       const ConsumeSummary s =
           analyze_consume_paths(*m->file, m->body_begin, m->body_end);
       if (s.in_loop) {
-        emit(*m->file, m->line, 1, "consume-discipline",
-             "fire() calls consume() inside a loop; an action receives "
-             "the head message at most once",
-             diags);
+        emit_diag(*m->file, m->line, 1, "consume-discipline",
+                  "fire() calls consume() inside a loop; an action receives "
+                  "the head message at most once",
+                  diags);
       }
       if (s.max_on_path > 1) {
-        emit(*m->file, m->line, 1, "consume-discipline",
-             "fire() may call consume() " + std::to_string(s.max_on_path) +
-                 " times on one path; the model's rcv happens exactly once "
-                 "per action",
-             diags);
+        emit_diag(*m->file, m->line, 1, "consume-discipline",
+                  "fire() may call consume() " +
+                      std::to_string(s.max_on_path) +
+                      " times on one path; the model's rcv happens exactly "
+                      "once per action",
+                  diags);
       }
     }
   }
+  return bodies;
 }
 
 // ---------------------------------------------------------------------------
@@ -498,18 +378,19 @@ void scan_body_for_allocations(const MethodInfo& m, const std::string& where,
   for (std::size_t i = m.body_begin; i < m.body_end; ++i) {
     const Token& tok = t[i];
     if (tok.is("new")) {
-      emit(*m.file, tok.line, tok.col, "hot-path-alloc",
-           "operator new in " + where +
-               "; the firing path must stay allocation-free",
-           diags);
+      emit_diag(*m.file, tok.line, tok.col, "hot-path-alloc",
+                "operator new in " + where +
+                    "; the firing path must stay allocation-free",
+                diags);
       continue;
     }
     if (!tok.is_ident()) continue;
     if (kAllocatingCalls.count(tok.text) > 0 && i + 1 < m.body_end &&
         (t[i + 1].is("(") || t[i + 1].is("<"))) {
-      emit(*m.file, tok.line, tok.col, "hot-path-alloc",
-           "call to allocating '" + std::string(tok.text) + "' in " + where,
-           diags);
+      emit_diag(*m.file, tok.line, tok.col, "hot-path-alloc",
+                "call to allocating '" + std::string(tok.text) + "' in " +
+                    where,
+                diags);
       continue;
     }
     if (kAllocatingTypes.count(tok.text) == 0) continue;
@@ -536,15 +417,17 @@ void scan_body_for_allocations(const MethodInfo& m, const std::string& where,
     }
     if (j >= m.body_end) continue;
     if (t[j].is_ident() || t[j].is("(") || t[j].is("{")) {
-      emit(*m.file, tok.line, tok.col, "hot-path-alloc",
-           "constructs allocating type '" + std::string(tok.text) +
-               "' in " + where,
-           diags);
+      emit_diag(*m.file, tok.line, tok.col, "hot-path-alloc",
+                "constructs allocating type '" + std::string(tok.text) +
+                    "' in " + where,
+                diags);
     }
   }
 }
 
-void check_hot_path_alloc(const Model& model, std::vector<Diagnostic>& diags) {
+std::size_t check_hot_path_alloc(const Model& model,
+                                 std::vector<Diagnostic>& diags) {
+  std::size_t roots = 0;
   for (const auto& [name, cls] : model.classes) {
     const bool guarded = !name.empty() && model.derives_from(name);
     for (const MethodInfo& m : cls.methods) {
@@ -559,46 +442,86 @@ void check_hot_path_alloc(const Model& model, std::vector<Diagnostic>& diags) {
         scan_body_for_allocations(m, "'" + m.name + "' (hring-lint: hot-path)",
                                   diags);
       }
+      roots += action_body || m.hot_path ? 1 : 0;
     }
   }
+  return roots;
 }
 
 }  // namespace
 
+bool suppressed(const SourceFile& file, std::uint32_t line,
+                std::string_view check) {
+  for (const Comment& c : file.comments) {
+    if (c.line != line) continue;
+    const std::size_t at = c.text.find("hring-nolint");
+    if (at == std::string_view::npos) continue;
+    const std::size_t paren = c.text.find('(', at);
+    if (paren == std::string_view::npos) return true;  // bare: all checks
+    if (c.text.find(check, paren) != std::string_view::npos) return true;
+  }
+  return false;
+}
+
 void emit_diag(const SourceFile& file, std::uint32_t line, std::uint32_t col,
                const std::string& check, std::string message,
                std::vector<Diagnostic>& diags) {
-  emit(file, line, col, check, std::move(message), diags);
+  if (suppressed(file, line, check)) return;
+  diags.push_back({file.path, line, col, check, std::move(message)});
 }
 
 ConsumeSummary analyze_consume_paths(const SourceFile& file,
                                      std::size_t body_begin,
                                      std::size_t body_end) {
-  ConsumePathAnalyzer analyzer(file, body_begin, body_end);
-  return analyzer.run();
+  ConsumeFold fold(file.tokens);
+  const Paths p = fold.stmt(build_stmt_tree(file, body_begin, body_end));
+  return {static_cast<std::size_t>(std::max({p.cont, p.brk, p.ret, 0})),
+          fold.in_loop};
 }
 
-void run_checks(const Model& model, const std::vector<std::string>& checks,
-                std::vector<Diagnostic>& diags) {
-  for (const std::string& check : checks) {
-    if (check == "codec-symmetry") check_codec_symmetry(model, diags);
-    if (check == "guard-purity") check_guard_purity(model, diags);
-    if (check == "consume-discipline") check_consume_discipline(model, diags);
-    if (check == "hot-path-alloc") check_hot_path_alloc(model, diags);
-    if (check == "space-bound") check_space_bound(model, diags);
-    if (check == "alphabet-closure") check_alphabet_closure(model, diags);
-    if (check == "atomics-discipline") check_atomics_discipline(model, diags);
-    if (check == "spsc-ownership") check_spsc_ownership(model, diags);
-    if (check == "pairing") check_pairing(model, diags);
-    if (check == "lost-wakeup") check_lost_wakeup(model, diags);
-    if (check == "no-block-in-hot-path") {
-      check_no_block_in_hot_path(model, diags);
-    }
-    if (check == "decode-before-trust") {
-      check_decode_before_trust(model, diags);
+namespace {
+
+using Check = std::size_t (*)(const Model&, std::vector<Diagnostic>&);
+
+const std::vector<std::pair<std::string, Check>>& check_table() {
+  static const std::vector<std::pair<std::string, Check>> kChecks = {
+      {"codec-symmetry", check_codec_symmetry},
+      {"guard-purity", check_guard_purity},
+      {"consume-discipline", check_consume_discipline},
+      {"hot-path-alloc", check_hot_path_alloc},
+      {"space-bound", check_space_bound},
+      {"alphabet-closure", check_alphabet_closure},
+      {"atomics-discipline", check_atomics_discipline},
+      {"spsc-ownership", check_spsc_ownership},
+      {"pairing", check_pairing},
+      {"lost-wakeup", check_lost_wakeup},
+      {"no-block-in-hot-path", check_no_block_in_hot_path},
+      {"decode-before-trust", check_decode_before_trust}};
+  return kChecks;
+}
+
+}  // namespace
+
+const std::vector<std::string>& all_check_names() {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const auto& [name, check] : check_table()) names.push_back(name);
+    return names;
+  }();
+  return kNames;
+}
+
+std::map<std::string, std::size_t> run_checks(
+    const Model& model, const std::vector<std::string>& checks,
+    std::vector<Diagnostic>& diags) {
+  std::map<std::string, std::size_t> examined;
+  for (const std::string& name : checks) {
+    for (const auto& [known, check] : check_table()) {
+      if (known == name) examined[name] = check(model, diags);
     }
   }
   sort_diagnostics(diags);
+  return examined;
 }
 
 }  // namespace hring::lint

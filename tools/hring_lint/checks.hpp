@@ -23,7 +23,9 @@
 // comment on the diagnosed line.
 #pragma once
 
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "diagnostics.hpp"
@@ -31,31 +33,32 @@
 
 namespace hring::lint {
 
-inline const std::vector<std::string>& all_check_names() {
-  static const std::vector<std::string> kNames = {
-      "codec-symmetry",       "guard-purity",
-      "consume-discipline",   "hot-path-alloc",
-      "space-bound",          "alphabet-closure",
-      "atomics-discipline",   "spsc-ownership",
-      "pairing",              "lost-wakeup",
-      "no-block-in-hot-path", "decode-before-trust"};
-  return kNames;
-}
+/// Every check, in roster order.
+[[nodiscard]] const std::vector<std::string>& all_check_names();
 
 /// Runs `checks` (names from all_check_names()) over the model and appends
-/// findings. Suppressed findings (hring-nolint) are dropped here.
-void run_checks(const Model& model, const std::vector<std::string>& checks,
-                std::vector<Diagnostic>& diags);
+/// findings. Suppressed findings (hring-nolint) are dropped here. Returns
+/// the number of sites each check examined, in that check's own unit
+/// (docs/STATIC_ANALYSIS.md).
+std::map<std::string, std::size_t> run_checks(
+    const Model& model, const std::vector<std::string>& checks,
+    std::vector<Diagnostic>& diags);
 
-/// Appends a diagnostic unless an `hring-nolint` comment on the diagnosed
-/// line suppresses it. Shared by the token-level checks and the IR pass.
+/// True when an `hring-nolint` comment on `line` names `check`, or no
+/// check at all.
+[[nodiscard]] bool suppressed(const SourceFile& file, std::uint32_t line,
+                              std::string_view check);
+
+/// Appends a diagnostic unless suppressed() holds for the diagnosed line.
+/// Shared by every check.
 void emit_diag(const SourceFile& file, std::uint32_t line, std::uint32_t col,
                const std::string& check, std::string message,
                std::vector<Diagnostic>& diags);
 
 /// Exposed for the unit tests: the maximum number of consume() calls on
 /// any control-flow path through the body token range, with loop-carried
-/// consumes reported via `in_loop`.
+/// consumes reported via `in_loop`. A fold over build_stmt_tree
+/// (concurrency_model.hpp).
 struct ConsumeSummary {
   std::size_t max_on_path = 0;
   bool in_loop = false;

@@ -13,62 +13,6 @@ namespace {
 
 using Toks = std::vector<Token>;
 
-std::size_t skip_balanced(const Toks& t, std::size_t i, std::string_view open,
-                          std::string_view close) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is(open)) {
-      ++depth;
-    } else if (t[i].is(close)) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return i;
-}
-
-std::size_t skip_angles(const Toks& t, std::size_t i) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("<")) {
-      ++depth;
-    } else if (t[i].is(">")) {
-      if (--depth == 0) return i + 1;
-    } else if (t[i].is(">>")) {
-      if (depth <= 2) return i + 1;
-      depth -= 2;
-    } else if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is(";") || t[i].is("{")) {
-      return i;  // not a template list after all
-    }
-  }
-  return i;
-}
-
-/// The comment nearest to (and not past) `line` within [line - above, line]
-/// whose text contains `marker`; nullptr when absent.
-const Comment* find_annotation(const SourceFile& file, std::uint32_t line,
-                               std::uint32_t above, std::string_view marker) {
-  const Comment* best = nullptr;
-  for (const Comment& c : file.comments) {
-    if (c.line > line || c.line + above < line) continue;
-    if (c.text.find(marker) == std::string_view::npos) continue;
-    if (best == nullptr || c.line > best->line) best = &c;
-  }
-  return best;
-}
-
-[[nodiscard]] std::string_view after_marker(std::string_view text,
-                                            std::string_view marker) {
-  const std::size_t at = text.find(marker);
-  std::string_view rest = text.substr(at + marker.size());
-  while (!rest.empty() &&
-         std::isspace(static_cast<unsigned char>(rest.front())) != 0) {
-    rest.remove_prefix(1);
-  }
-  return rest;
-}
-
 /// Trims a comment tail to the annotation's own text: stops at a block
 /// comment terminator and trailing whitespace.
 [[nodiscard]] std::string_view trim_spec(std::string_view spec) {
@@ -216,33 +160,6 @@ class StmtBuilder {
     return pos_ < end_ && t_[pos_].is(s);
   }
 
-  std::size_t skip_match(std::size_t i, std::string_view open,
-                         std::string_view close) {
-    std::size_t depth = 0;
-    for (; i < end_; ++i) {
-      if (t_[i].is(open)) ++depth;
-      if (t_[i].is(close) && --depth == 0) return i + 1;
-    }
-    return i;
-  }
-
-  std::size_t skip_expression_to_semicolon() {
-    std::size_t i = pos_;
-    while (i < end_) {
-      if (t_[i].is("(")) {
-        i = skip_match(i, "(", ")");
-        continue;
-      }
-      if (t_[i].is("{")) {
-        i = skip_match(i, "{", "}");
-        continue;
-      }
-      if (t_[i].is(";")) return i + 1;
-      ++i;
-    }
-    return i;
-  }
-
   /// Parses statements into `parent.children` until `end` (exclusive).
   void parse_children(Stmt& parent, std::size_t end) {
     const std::size_t saved_end = end_;
@@ -262,7 +179,7 @@ class StmtBuilder {
     Stmt s;
     s.begin = pos_;
     if (at("{")) {
-      const std::size_t close = skip_match(pos_, "{", "}");
+      const std::size_t close = skip_balanced(t_, pos_, "{", "}", end_);
       s.kind = Stmt::Kind::kBlock;
       ++pos_;
       parse_children(s, close - 1);
@@ -275,7 +192,7 @@ class StmtBuilder {
       ++pos_;
       if (at("constexpr")) ++pos_;
       s.cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
+      pos_ = skip_balanced(t_, pos_, "(", ")", end_);
       s.cond_end = pos_;
       s.children.push_back(parse_stmt());
       if (at("else")) {
@@ -289,7 +206,7 @@ class StmtBuilder {
       s.kind = Stmt::Kind::kLoop;
       ++pos_;
       s.cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
+      pos_ = skip_balanced(t_, pos_, "(", ")", end_);
       s.cond_end = pos_;
       s.children.push_back(parse_stmt());
       s.end = pos_;
@@ -302,7 +219,7 @@ class StmtBuilder {
       if (at("while")) {
         ++pos_;
         s.cond_begin = pos_;
-        pos_ = skip_match(pos_, "(", ")");
+        pos_ = skip_balanced(t_, pos_, "(", ")", end_);
         s.cond_end = pos_;
       }
       if (at(";")) ++pos_;
@@ -313,20 +230,23 @@ class StmtBuilder {
       s.kind = Stmt::Kind::kSwitch;
       ++pos_;
       s.cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
+      pos_ = skip_balanced(t_, pos_, "(", ")", end_);
       s.cond_end = pos_;
       if (!at("{")) {
         s.end = pos_;
         return s;
       }
-      const std::size_t close = skip_match(pos_, "{", "}");
+      const std::size_t close = skip_balanced(t_, pos_, "{", "}", end_);
       const std::size_t saved_end = end_;
       end_ = close - 1;
       ++pos_;
       while (pos_ < close - 1) {
         if (at("case") || at("default")) {
+          Stmt& label = s.children.emplace_back();
+          label.kind = Stmt::Kind::kLabel;
+          label.begin = pos_;
           while (pos_ < close - 1 && !at(":")) ++pos_;
-          ++pos_;
+          label.end = ++pos_;
           continue;
         }
         const std::size_t before = pos_;
@@ -343,13 +263,13 @@ class StmtBuilder {
     }
     if (at("return")) {
       s.kind = Stmt::Kind::kReturn;
-      pos_ = skip_expression_to_semicolon();
+      pos_ = skip_to_semicolon(t_, pos_, end_);
       s.end = pos_;
       return s;
     }
     if (at("break") || at("continue") || at("goto") || at("throw")) {
       s.kind = Stmt::Kind::kJump;
-      pos_ = skip_expression_to_semicolon();
+      pos_ = skip_to_semicolon(t_, pos_, end_);
       s.end = pos_;
       return s;
     }
@@ -360,7 +280,7 @@ class StmtBuilder {
       return s;
     }
     s.kind = Stmt::Kind::kExpr;
-    pos_ = skip_expression_to_semicolon();
+    pos_ = skip_to_semicolon(t_, pos_, end_);
     s.end = pos_;
     return s;
   }
@@ -393,6 +313,7 @@ void collect_guaranteed(const Stmt& s,
     case Stmt::Kind::kIf:
     case Stmt::Kind::kLoop:
     case Stmt::Kind::kSwitch:
+    case Stmt::Kind::kLabel:
       if (s.cond_end > s.cond_begin) {
         out.emplace_back(s.cond_begin, s.cond_end);
       }
@@ -438,7 +359,7 @@ bool dominated_by_range(const Stmt& root, std::size_t tok, std::size_t from,
     }
     const Stmt* next = nullptr;
     for (const Stmt& child : node->children) {
-      if (stmt_contains(child, tok)) {
+      if (child.kind != Stmt::Kind::kLabel && stmt_contains(child, tok)) {
         next = &child;
         break;
       }
@@ -458,23 +379,6 @@ bool dominated_by_range(const Stmt& root, std::size_t tok, std::size_t from,
 // Shared scan machinery for the checks
 
 namespace {
-
-/// One atomic (or condition-variable) member operation: `recv.op(args)`.
-struct MemberOp {
-  enum class Kind : std::uint8_t {
-    kLoad,
-    kStore,
-    kRmw,
-    kWait,
-    kNotify,
-  };
-  Kind kind = Kind::kLoad;
-  std::string recv;
-  std::string order;  // "relaxed", "acquire", ... ; empty when implicit
-  std::size_t tok = 0;
-  std::uint32_t line = 0;
-  std::uint32_t col = 0;
-};
 
 [[nodiscard]] std::optional<MemberOp::Kind> op_kind(std::string_view name) {
   if (name == "load") return MemberOp::Kind::kLoad;
@@ -507,21 +411,6 @@ struct MemberOp {
   return {};
 }
 
-/// Names declared std::atomic<...> in this file (the atomics-discipline
-/// receiver-resolution idiom: per-file, declaration-site driven).
-[[nodiscard]] std::set<std::string> atomic_names_of(const SourceFile& file) {
-  const Toks& t = file.tokens;
-  std::set<std::string> names;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!t[i].is("atomic") || !t[i + 1].is("<")) continue;
-    const std::size_t j = skip_angles(t, i + 1);
-    if (j < t.size() && t[j].is_ident()) {
-      names.insert(std::string(t[j].text));
-    }
-  }
-  return names;
-}
-
 /// Names declared std::condition_variable in this file.
 [[nodiscard]] std::set<std::string> cv_names_of(const SourceFile& file) {
   const Toks& t = file.tokens;
@@ -538,7 +427,37 @@ struct MemberOp {
   return names;
 }
 
-/// Member ops on receivers from `names` within [begin, end).
+/// Every method body in `model` that lives in `file`.
+[[nodiscard]] std::vector<const MethodInfo*> bodies_in_file(
+    const Model& model, const SourceFile& file) {
+  std::vector<const MethodInfo*> out;
+  for (const auto& [name, cls] : model.classes) {
+    for (const MethodInfo& m : cls.methods) {
+      if (m.has_body && m.file == &file) out.push_back(&m);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const MethodInfo* a, const MethodInfo* b) {
+              return a->body_begin < b->body_begin;
+            });
+  return out;
+}
+
+}  // namespace
+
+std::set<std::string> atomic_names_of(const SourceFile& file) {
+  const Toks& t = file.tokens;
+  std::set<std::string> names;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (!t[i].is("atomic") || !t[i + 1].is("<")) continue;
+    const std::size_t j = skip_angles(t, i + 1);
+    if (j < t.size() && t[j].is_ident()) {
+      names.insert(std::string(t[j].text));
+    }
+  }
+  return names;
+}
+
 void scan_member_ops(const SourceFile& file, std::size_t begin,
                      std::size_t end, const std::set<std::string>& names,
                      std::vector<MemberOp>& out) {
@@ -563,28 +482,12 @@ void scan_member_ops(const SourceFile& file, std::size_t begin,
   }
 }
 
-/// Every method body in `model` that lives in `file`.
-[[nodiscard]] std::vector<const MethodInfo*> bodies_in_file(
-    const Model& model, const SourceFile& file) {
-  std::vector<const MethodInfo*> out;
-  for (const auto& [name, cls] : model.classes) {
-    for (const MethodInfo& m : cls.methods) {
-      if (m.has_body && m.file == &file) out.push_back(&m);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const MethodInfo* a, const MethodInfo* b) {
-              return a->body_begin < b->body_begin;
-            });
-  return out;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // spsc-ownership
 
-void check_spsc_ownership(const Model& model, std::vector<Diagnostic>& diags) {
+std::size_t check_spsc_ownership(const Model& model,
+                                 std::vector<Diagnostic>& diags) {
+  std::size_t members = 0;
   for (const SourceFile* file : model.files) {
     // Malformed annotations are findings in their own right: a wrong role
     // word silently disabling enforcement would be worse than a bug.
@@ -602,6 +505,7 @@ void check_spsc_ownership(const Model& model, std::vector<Diagnostic>& diags) {
     }
     std::map<std::string, SharedDecl> shared;
     for (SharedDecl& decl : shared_decls(*file)) {
+      ++members;
       if (decl.malformed) {
         emit_diag(*file, decl.line, 1, "spsc-ownership",
                   "malformed hring-shared annotation (expected a role list "
@@ -732,18 +636,22 @@ void check_spsc_ownership(const Model& model, std::vector<Diagnostic>& diags) {
       }
     }
   }
+  return members;
 }
 
 // ---------------------------------------------------------------------------
 // pairing
 
-void check_pairing(const Model& model, std::vector<Diagnostic>& diags) {
+std::size_t check_pairing(const Model& model,
+                          std::vector<Diagnostic>& diags) {
+  std::size_t examined = 0;
   for (const SourceFile* file : model.files) {
     const std::set<std::string> names = atomic_names_of(*file);
     const Toks& t = file->tokens;
     if (!names.empty()) {
       std::vector<MemberOp> ops;
       scan_member_ops(*file, 0, t.size(), names, ops);
+      examined += ops.size();
       // Classify per member. A release-ordered RMW forms a release
       // sequence with the RMWs it reads from, so an acq_rel RMW is its
       // own acquire counterpart across threads.
@@ -808,6 +716,7 @@ void check_pairing(const Model& model, std::vector<Diagnostic>& diags) {
       op.col = t[i].col;
       fence_storage.push_back(op);
     }
+    examined += fence_storage.size();
     for (const MemberOp& f : fence_storage) {
       if ((f.order == "release" || f.order == "acq_rel" ||
            f.order == "seq_cst") &&
@@ -833,6 +742,7 @@ void check_pairing(const Model& model, std::vector<Diagnostic>& diags) {
                 diags);
     }
   }
+  return examined;
 }
 
 // ---------------------------------------------------------------------------
@@ -860,11 +770,13 @@ namespace {
 
 }  // namespace
 
-void check_lost_wakeup(const Model& model, std::vector<Diagnostic>& diags) {
+std::size_t check_lost_wakeup(const Model& model,
+                              std::vector<Diagnostic>& diags) {
   // Pass 1: per-body rules; collect park primitives (methods whose name
   // says wait/park and whose body holds a bare futex wait — the re-check
   // obligation transfers to their callers).
   std::set<std::string> park_primitives;
+  std::size_t examined = 0;
   for (const SourceFile* file : model.files) {
     const std::set<std::string> atomics = atomic_names_of(*file);
     const std::set<std::string> cvs = cv_names_of(*file);
@@ -878,6 +790,10 @@ void check_lost_wakeup(const Model& model, std::vector<Diagnostic>& diags) {
         scan_member_ops(*file, m->body_begin, m->body_end, atomics, ops);
       }
       for (const MemberOp& op : ops) {
+        if (op.kind == MemberOp::Kind::kWait ||
+            op.kind == MemberOp::Kind::kNotify) {
+          ++examined;
+        }
         if (op.kind == MemberOp::Kind::kWait) {
           if (!have_tree) {
             tree = build_stmt_tree(*file, m->body_begin, m->body_end);
@@ -933,6 +849,7 @@ void check_lost_wakeup(const Model& model, std::vector<Diagnostic>& diags) {
             cvs.count(std::string(t[i - 2].text)) == 0) {
           continue;
         }
+        ++examined;
         const std::size_t close = skip_balanced(t, i + 1, "(", ")");
         if (count_top_commas(t, i + 1, close) == 0) {
           emit_diag(*file, t[i].line, t[i].col, "lost-wakeup",
@@ -946,7 +863,7 @@ void check_lost_wakeup(const Model& model, std::vector<Diagnostic>& diags) {
   }
   // Pass 2: every call to a park primitive sits inside a re-check loop
   // (unless the caller is itself a park primitive and defers again).
-  if (park_primitives.empty()) return;
+  if (park_primitives.empty()) return examined;
   for (const SourceFile* file : model.files) {
     const Toks& t = file->tokens;
     for (const MethodInfo* m : bodies_in_file(model, *file)) {
@@ -956,6 +873,7 @@ void check_lost_wakeup(const Model& model, std::vector<Diagnostic>& diags) {
       for (std::size_t i = m->body_begin; i + 1 < m->body_end; ++i) {
         if (!t[i].is_ident() || !t[i + 1].is("(")) continue;
         if (park_primitives.count(std::string(t[i].text)) == 0) continue;
+        ++examined;
         if (!have_tree) {
           tree = build_stmt_tree(*file, m->body_begin, m->body_end);
           have_tree = true;
@@ -969,6 +887,7 @@ void check_lost_wakeup(const Model& model, std::vector<Diagnostic>& diags) {
       }
     }
   }
+  return examined;
 }
 
 // ---------------------------------------------------------------------------
@@ -1034,7 +953,7 @@ class BlockReach {
         memo_.emplace(m, std::nullopt);  // cycle-breaker: in-progress = clean
     std::optional<SinkInfo> found;
     for (const CallSite& call : call_sites(m)) {
-      if (edge_suppressed(*m->file, call.line)) continue;
+      if (suppressed(*m->file, call.line, "no-block-in-hot-path")) continue;
       const auto targets = bodies_.find(call.name);
       // A sink name that resolves to a project-defined body is that body,
       // not the syscall (an engine's select() is algorithm selection);
@@ -1083,31 +1002,16 @@ class BlockReach {
     return out;
   }
 
-  [[nodiscard]] static bool edge_suppressed(const SourceFile& file,
-                                            std::uint32_t line) {
-    for (const Comment& c : file.comments) {
-      if (c.line != line) continue;
-      const std::size_t at = c.text.find("hring-nolint");
-      if (at == std::string_view::npos) continue;
-      const std::size_t paren = c.text.find('(', at);
-      if (paren == std::string_view::npos) return true;
-      if (c.text.find("no-block-in-hot-path", paren) !=
-          std::string_view::npos) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   std::map<std::string, std::vector<const MethodInfo*>> bodies_;
   std::map<const MethodInfo*, std::optional<SinkInfo>> memo_;
 };
 
 }  // namespace
 
-void check_no_block_in_hot_path(const Model& model,
-                                std::vector<Diagnostic>& diags) {
+std::size_t check_no_block_in_hot_path(const Model& model,
+                                       std::vector<Diagnostic>& diags) {
   BlockReach reach(model);
+  std::size_t roots = 0;
   for (const auto& [name, cls] : model.classes) {
     const bool guarded = !name.empty() && model.derives_from(name);
     for (const MethodInfo& m : cls.methods) {
@@ -1115,6 +1019,7 @@ void check_no_block_in_hot_path(const Model& model,
       const bool action_root =
           guarded && (m.name == "enabled" || m.name == "fire");
       if (!action_root && !m.hot_path) continue;
+      ++roots;
       const std::optional<SinkInfo>& sink = reach.reach(&m);
       if (!sink.has_value()) continue;
       const std::string where =
@@ -1130,13 +1035,14 @@ void check_no_block_in_hot_path(const Model& model,
                 diags);
     }
   }
+  return roots;
 }
 
 // ---------------------------------------------------------------------------
 // decode-before-trust
 
-void check_decode_before_trust(const Model& model,
-                               std::vector<Diagnostic>& diags) {
+std::size_t check_decode_before_trust(const Model& model,
+                                      std::vector<Diagnostic>& diags) {
   // Calls that may receive raw bytes: the trust gate itself plus byte
   // movers that never interpret content.
   static const std::set<std::string_view> kLaundering = {
@@ -1146,6 +1052,7 @@ void check_decode_before_trust(const Model& model,
   static const std::set<std::string_view> kShapeMembers = {
       "data", "size", "begin", "end", "max_size", "fill"};
 
+  std::size_t locals = 0;
   for (const SourceFile* file : model.files) {
     const Toks& t = file->tokens;
     for (const MethodInfo* m : bodies_in_file(model, *file)) {
@@ -1173,6 +1080,7 @@ void check_decode_before_trust(const Model& model,
           }
         }
       }
+      locals += decl_sites.size();
       if (tainted.empty()) continue;
       // Sanctioned argument ranges: laundering calls may see raw bytes.
       std::vector<std::pair<std::size_t, std::size_t>> sanctioned;
@@ -1220,6 +1128,7 @@ void check_decode_before_trust(const Model& model,
       }
     }
   }
+  return locals;
 }
 
 }  // namespace hring::lint

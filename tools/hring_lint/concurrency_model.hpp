@@ -50,6 +50,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -110,11 +111,40 @@ struct SharedDecl {
 [[nodiscard]] std::vector<SharedDecl> shared_decls(const SourceFile& file);
 
 // ---------------------------------------------------------------------------
+// Atomic member operations
+
+/// One atomic (or condition-variable) member operation: `recv.op(args)`.
+struct MemberOp {
+  enum class Kind : std::uint8_t {
+    kLoad,
+    kStore,
+    kRmw,
+    kWait,
+    kNotify,
+  };
+  Kind kind = Kind::kLoad;
+  std::string recv;
+  std::string order;  // "relaxed", "acquire", ... ; empty when implicit
+  std::size_t tok = 0;
+  std::uint32_t line = 0;
+  std::uint32_t col = 0;
+};
+
+/// Names declared std::atomic<...> in `file` (receiver resolution is
+/// per-file and declaration-site driven).
+[[nodiscard]] std::set<std::string> atomic_names_of(const SourceFile& file);
+
+/// Appends the member ops in [begin, end) whose receiver is in `names`.
+void scan_member_ops(const SourceFile& file, std::size_t begin,
+                     std::size_t end, const std::set<std::string>& names,
+                     std::vector<MemberOp>& out);
+
+// ---------------------------------------------------------------------------
 // Statement-path model
 //
-// A per-function statement tree generalizing the consume-discipline path
-// analyzer: every body is parsed once into nested statements with token
-// ranges, and the checks query structural facts (loop enclosure,
+// A per-function statement tree: every body is parsed once into nested
+// statements with token ranges. The consume-discipline check folds over
+// it, and the concurrency checks query structural facts (loop enclosure,
 // guaranteed-before ordering) instead of re-walking tokens.
 
 struct Stmt {
@@ -123,9 +153,10 @@ struct Stmt {
     kBlock,   ///< `{ ... }`
     kIf,      ///< children: then[, else]
     kLoop,    ///< while/for/do body
-    kSwitch,  ///< children: the case segments as blocks
+    kSwitch,  ///< children: its labels and statements, in order
     kReturn,
     kJump,    ///< break / continue / goto / throw
+    kLabel,   ///< `case ...:` or `default:`; the structural queries skip it
   };
   Kind kind = Kind::kExpr;
   /// Token range of the whole statement, including any condition.
@@ -155,14 +186,17 @@ struct Stmt {
                                       std::size_t from, std::size_t to);
 
 // ---------------------------------------------------------------------------
-// The five concurrency checks (dispatched by run_checks)
+// The five concurrency checks (dispatched by run_checks, which reports the
+// sites each returns as examined)
 
-void check_spsc_ownership(const Model& model, std::vector<Diagnostic>& diags);
-void check_pairing(const Model& model, std::vector<Diagnostic>& diags);
-void check_lost_wakeup(const Model& model, std::vector<Diagnostic>& diags);
-void check_no_block_in_hot_path(const Model& model,
-                                std::vector<Diagnostic>& diags);
-void check_decode_before_trust(const Model& model,
-                               std::vector<Diagnostic>& diags);
+std::size_t check_spsc_ownership(const Model& model,
+                                 std::vector<Diagnostic>& diags);
+std::size_t check_pairing(const Model& model, std::vector<Diagnostic>& diags);
+std::size_t check_lost_wakeup(const Model& model,
+                              std::vector<Diagnostic>& diags);
+std::size_t check_no_block_in_hot_path(const Model& model,
+                                       std::vector<Diagnostic>& diags);
+std::size_t check_decode_before_trust(const Model& model,
+                                      std::vector<Diagnostic>& diags);
 
 }  // namespace hring::lint

@@ -237,4 +237,71 @@ bool lex_file(const std::string& path, SourceFile& file) {
   return true;
 }
 
+std::size_t skip_balanced(const std::vector<Token>& t, std::size_t i,
+                          std::string_view open, std::string_view close,
+                          std::size_t end) {
+  std::size_t depth = 0;
+  for (; i < end && i < t.size() && t[i].kind != TokKind::kEof; ++i) {
+    if (t[i].is(open)) {
+      ++depth;
+    } else if (t[i].is(close)) {
+      if (--depth == 0) return i + 1;
+    }
+  }
+  return i;
+}
+
+std::size_t skip_angles(const std::vector<Token>& t, std::size_t i) {
+  std::size_t depth = 0;
+  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
+    if (t[i].is("<")) {
+      ++depth;
+    } else if (t[i].is(">")) {
+      if (--depth == 0) return i + 1;
+    } else if (t[i].is(">>")) {
+      if (depth <= 2) return i + 1;
+      depth -= 2;
+    } else if (t[i].is("(")) {
+      i = skip_balanced(t, i, "(", ")") - 1;
+    } else if (t[i].is(";") || t[i].is("{")) {
+      return i;
+    }
+  }
+  return i;
+}
+
+std::size_t skip_to_semicolon(const std::vector<Token>& t, std::size_t i,
+                              std::size_t end) {
+  for (; i < end && i < t.size() && t[i].kind != TokKind::kEof; ++i) {
+    if (t[i].is("(")) {
+      i = skip_balanced(t, i, "(", ")", end) - 1;
+    } else if (t[i].is("{")) {
+      i = skip_balanced(t, i, "{", "}", end) - 1;
+    } else if (t[i].is(";")) {
+      return i + 1;
+    }
+  }
+  return i;
+}
+
+const Comment* find_annotation(const SourceFile& file, std::uint32_t line,
+                               std::uint32_t above, std::string_view marker) {
+  const Comment* best = nullptr;
+  for (const Comment& c : file.comments) {
+    if (c.line > line || c.line + above < line) continue;
+    if (c.text.find(marker) == std::string_view::npos) continue;
+    if (best == nullptr || c.line > best->line) best = &c;
+  }
+  return best;
+}
+
+std::string_view after_marker(std::string_view text, std::string_view marker) {
+  std::string_view rest = text.substr(text.find(marker) + marker.size());
+  while (!rest.empty() &&
+         std::isspace(static_cast<unsigned char>(rest.front())) != 0) {
+    rest.remove_prefix(1);
+  }
+  return rest;
+}
+
 }  // namespace hring::lint

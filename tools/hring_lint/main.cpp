@@ -9,7 +9,7 @@
 //   --filter=SUBSTR  with -p: only files whose path contains SUBSTR
 //   --verify         fixture mode: match diagnostics against hring-expect
 //                    comments instead of printing them
-//   --summary        print a per-check diagnostic count table
+//   --summary        print each check's findings and the sites it examined
 //   --list-checks    print the known checks and exit
 //   --quiet          suppress diagnostics (exit status only)
 //   --emit-ir=PATH   write the extracted ProtocolIR as JSON ("-" = stdout)
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
     files.push_back(std::move(file));
   }
   std::vector<Diagnostic> diags;
-  run_checks(model, checks, diags);
+  const auto examined = run_checks(model, checks, diags);
 
   if (!emit_ir_path.empty()) {
     const ProtocolIR ir = extract_protocol_ir(model, nullptr);
@@ -239,11 +239,13 @@ int main(int argc, char** argv) {
   }
   if (summary) {
     const auto counts = count_by_check(diags);
-    std::cout << "hring-lint summary (" << paths.size() << " files):";
+    std::cout << "hring-lint summary (" << paths.size()
+              << " files; findings/sites examined):";
     for (const std::string& c : checks) {
       const auto it = counts.find(c);
       std::cout << " " << c << "="
-                << (it == counts.end() ? std::size_t{0} : it->second);
+                << (it == counts.end() ? std::size_t{0} : it->second) << "/"
+                << examined.at(c);
     }
     std::cout << "\n";
   }

@@ -9,57 +9,13 @@
 #include <utility>
 
 #include "checks.hpp"
+#include "concurrency_model.hpp"
 #include "support/json.hpp"
 
 namespace hring::lint {
 namespace {
 
 using Toks = std::vector<Token>;
-
-std::size_t skip_balanced(const Toks& t, std::size_t i, std::string_view open,
-                          std::string_view close) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is(open)) {
-      ++depth;
-    } else if (t[i].is(close)) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return i;
-}
-
-std::size_t skip_angles(const Toks& t, std::size_t i) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("<")) {
-      ++depth;
-    } else if (t[i].is(">")) {
-      if (--depth == 0) return i + 1;
-    } else if (t[i].is(">>")) {
-      if (depth <= 2) return i + 1;
-      depth -= 2;
-    } else if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is(";") || t[i].is("{")) {
-      return i;  // not a template list after all
-    }
-  }
-  return i;
-}
-
-std::size_t skip_to_semicolon(const Toks& t, std::size_t i) {
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is("{")) {
-      i = skip_balanced(t, i, "{", "}") - 1;
-    } else if (t[i].is(";")) {
-      return i + 1;
-    }
-  }
-  return i;
-}
 
 [[nodiscard]] std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -73,33 +29,6 @@ std::size_t skip_to_semicolon(const Toks& t, std::size_t i) {
     return std::string(enumerator.substr(1));
   }
   return std::string(enumerator);
-}
-
-// ---------------------------------------------------------------------------
-// Annotation lookup
-
-/// The comment nearest to (and not past) `line` within [line - above, line]
-/// whose text contains `marker`; nullptr when absent.
-const Comment* find_annotation(const SourceFile& file, std::uint32_t line,
-                               std::uint32_t above, std::string_view marker) {
-  const Comment* best = nullptr;
-  for (const Comment& c : file.comments) {
-    if (c.line > line || c.line + above < line) continue;
-    if (c.text.find(marker) == std::string_view::npos) continue;
-    if (best == nullptr || c.line > best->line) best = &c;
-  }
-  return best;
-}
-
-[[nodiscard]] std::string_view after_marker(std::string_view text,
-                                            std::string_view marker) {
-  const std::size_t at = text.find(marker);
-  std::string_view rest = text.substr(at + marker.size());
-  while (!rest.empty() &&
-         std::isspace(static_cast<unsigned char>(rest.front())) != 0) {
-    rest.remove_prefix(1);
-  }
-  return rest;
 }
 
 [[nodiscard]] std::string take_word(std::string_view& rest) {
@@ -182,11 +111,6 @@ std::optional<StateAnnotation> state_annotation(const SourceFile& file,
   }
   ann.malformed = true;
   return ann;
-}
-
-[[nodiscard]] bool cold_atomic_annotated(const SourceFile& file,
-                                         std::uint32_t line) {
-  return find_annotation(file, line, 1, "hring-lint: cold-atomic") != nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -812,9 +736,14 @@ void write_protocol_ir(const ProtocolIR& ir, std::ostream& out) {
 // ---------------------------------------------------------------------------
 // space-bound
 
-void check_space_bound(const Model& model, std::vector<Diagnostic>& diags) {
+std::size_t check_space_bound(const Model& model,
+                              std::vector<Diagnostic>& diags) {
   const ProtocolIR ir = extract_protocol_ir(model, &diags);
+  std::set<std::pair<std::string, std::string>> members;  // (owner, name)
   for (const AlgorithmIR& alg : ir.algorithms) {
+    for (const StateVarIR& var : alg.state) {
+      members.emplace(var.owner, var.name);
+    }
     if (alg.space_bound.empty()) continue;
     const auto bound = BitExpr::parse(alg.space_bound);
     const auto sum = BitExpr::parse(alg.state_bits);
@@ -846,18 +775,21 @@ void check_space_bound(const Model& model, std::vector<Diagnostic>& diags) {
       }
     }
   }
+  return members.size();
 }
 
 // ---------------------------------------------------------------------------
 // alphabet-closure
 
-void check_alphabet_closure(const Model& model,
-                            std::vector<Diagnostic>& diags) {
+std::size_t check_alphabet_closure(const Model& model,
+                                   std::vector<Diagnostic>& diags) {
   const std::map<std::string, std::string> ctors = message_ctors(model);
   const auto eit = model.enums.find("MsgKind");
 
+  std::size_t classes = 0;
   for (const auto& [name, cls] : model.classes) {
     if (name.empty() || !model.derives_from(name)) continue;
+    ++classes;
     std::set<std::string> sends;
     std::set<std::string> handles;
     const MethodInfo* first_fire = nullptr;
@@ -943,67 +875,49 @@ void check_alphabet_closure(const Model& model,
       }
     }
   }
+  return classes;
 }
 
 // ---------------------------------------------------------------------------
 // atomics-discipline
 
-void check_atomics_discipline(const Model& model,
-                              std::vector<Diagnostic>& diags) {
-  static const std::set<std::string_view> kOrderedOps = {
-      "load",          "store",
-      "exchange",      "fetch_add",
-      "fetch_sub",     "fetch_and",
-      "fetch_or",      "fetch_xor",
-      "compare_exchange_weak", "compare_exchange_strong",
-      "test_and_set"};
+std::size_t check_atomics_discipline(const Model& model,
+                                     std::vector<Diagnostic>& diags) {
   static const std::set<std::string_view> kImplicitOps = {
       "++", "--", "+=", "-=", "&=", "|=", "^="};
 
+  std::size_t examined = 0;
   for (const SourceFile* file : model.files) {
     const Toks& t = file->tokens;
     // Names declared std::atomic<...> in this file (members and locals
     // alike). Scoped per file: atomics here are always used where they
     // are declared, and a global set would trip on unrelated plain
     // variables that happen to share a name across files.
-    std::set<std::string> atomic_names;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (!t[i].is("atomic") || !t[i + 1].is("<")) continue;
-      const std::size_t j = skip_angles(t, i + 1);
-      if (j < t.size() && t[j].is_ident()) {
-        atomic_names.insert(std::string(t[j].text));
-      }
-    }
+    const std::set<std::string> atomic_names = atomic_names_of(*file);
     if (atomic_names.empty()) continue;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const Token& tok = t[i];
-      if (!tok.is_ident()) continue;
-      // Explicit member op: name.(op)(args) must name a memory_order.
-      if (kOrderedOps.count(tok.text) > 0 && i + 1 < t.size() &&
-          t[i + 1].is("(") && i >= 2 &&
-          (t[i - 1].is(".") || t[i - 1].is("->")) && t[i - 2].is_ident() &&
-          atomic_names.count(std::string(t[i - 2].text)) > 0) {
-        const std::size_t close = skip_balanced(t, i + 1, "(", ")");
-        bool has_order = false;
-        for (std::size_t j = i + 2; j + 1 < close; ++j) {
-          if (t[j].is_ident() &&
-              t[j].text.find("memory_order") != std::string_view::npos) {
-            has_order = true;
-          }
-        }
-        if (!has_order) {
-          emit_diag(*file, tok.line, tok.col, "atomics-discipline",
-                    "atomic " + std::string(tok.text) + " on '" +
-                        std::string(t[i - 2].text) +
-                        "' without an explicit memory_order; spell out the "
-                        "ordering the algorithm needs",
-                    diags);
-        }
+    // Explicit member op: name.(op)(args) must name a memory_order.
+    std::vector<MemberOp> ops;
+    scan_member_ops(*file, 0, t.size(), atomic_names, ops);
+    for (const MemberOp& op : ops) {
+      if (op.kind == MemberOp::Kind::kWait ||
+          op.kind == MemberOp::Kind::kNotify) {
         continue;
       }
+      ++examined;
+      if (!op.order.empty()) continue;
+      emit_diag(*file, op.line, op.col, "atomics-discipline",
+                "atomic " + std::string(t[op.tok].text) + " on '" + op.recv +
+                    "' without an explicit memory_order; spell out the "
+                    "ordering the algorithm needs",
+                diags);
+    }
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      const Token& tok = t[i];
       // Implicit read-modify-write on an atomic name (++x, x += 1): these
       // are sequentially-consistent by default — make the ordering visible.
-      if (atomic_names.count(std::string(tok.text)) == 0) continue;
+      if (!tok.is_ident() || atomic_names.count(std::string(tok.text)) == 0) {
+        continue;
+      }
       if (i > 0 && (t[i - 1].is_ident() || t[i - 1].is(">") ||
                     t[i - 1].is("::"))) {
         continue;  // a declaration or qualified name, not a use
@@ -1036,7 +950,10 @@ void check_atomics_discipline(const Model& model,
       const FieldDecl& atom = a.is_atomic ? a : b;
       const FieldDecl& plain = a.is_atomic ? b : a;
       if (a.has_alignas || b.has_alignas) continue;
-      if (cold_atomic_annotated(*cls.body_file, atom.line)) continue;
+      if (find_annotation(*cls.body_file, atom.line, 1,
+                          "hring-lint: cold-atomic") != nullptr) {
+        continue;
+      }
       if (!reported.insert(atom.name).second) continue;
       emit_diag(*cls.body_file, atom.line, 1, "atomics-discipline",
                 "atomic member '" + atom.name +
@@ -1047,6 +964,7 @@ void check_atomics_discipline(const Model& model,
                 diags);
     }
   }
+  return examined;
 }
 
 }  // namespace hring::lint

@@ -132,11 +132,13 @@ struct ProtocolIR {
 /// documented in docs/STATIC_ANALYSIS.md).
 void write_protocol_ir(const ProtocolIR& ir, std::ostream& out);
 
-// The three IR-level checks (dispatched by run_checks).
-void check_space_bound(const Model& model, std::vector<Diagnostic>& diags);
-void check_alphabet_closure(const Model& model,
-                            std::vector<Diagnostic>& diags);
-void check_atomics_discipline(const Model& model,
+// The three IR-level checks (dispatched by run_checks, which reports the
+// sites each returns as examined).
+std::size_t check_space_bound(const Model& model,
                               std::vector<Diagnostic>& diags);
+std::size_t check_alphabet_closure(const Model& model,
+                                   std::vector<Diagnostic>& diags);
+std::size_t check_atomics_discipline(const Model& model,
+                                     std::vector<Diagnostic>& diags);
 
 }  // namespace hring::lint

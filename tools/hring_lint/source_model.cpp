@@ -7,55 +7,6 @@ namespace {
 
 using Toks = std::vector<Token>;
 
-/// Index of the token after the one matching the opener at `i`
-/// (tokens[i] must be `open`). Returns the end index when unbalanced.
-std::size_t skip_balanced(const Toks& t, std::size_t i, std::string_view open,
-                          std::string_view close) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is(open)) {
-      ++depth;
-    } else if (t[i].is(close)) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return i;
-}
-
-/// Skips a template argument/parameter list starting at `<`. `>>` closes
-/// two levels. Returns the index after the closing `>`.
-std::size_t skip_angles(const Toks& t, std::size_t i) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("<")) {
-      ++depth;
-    } else if (t[i].is(">")) {
-      if (--depth == 0) return i + 1;
-    } else if (t[i].is(">>")) {
-      if (depth <= 2) return i + 1;
-      depth -= 2;
-    } else if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is(";") || t[i].is("{")) {
-      return i;  // not a template list after all; bail out
-    }
-  }
-  return i;
-}
-
-std::size_t skip_to_semicolon(const Toks& t, std::size_t i) {
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is("{")) {
-      i = skip_balanced(t, i, "{", "}") - 1;
-    } else if (t[i].is(";")) {
-      return i + 1;
-    }
-  }
-  return i;
-}
-
 /// Expression contexts in which `ident (` is a call, not a declarator.
 bool prev_blocks_declarator(const Token& prev) {
   static const std::set<std::string_view> kDeny = {
@@ -73,18 +24,6 @@ class Parser {
   void run() { parse_scope(0, t_.size(), nullptr); }
 
  private:
-  /// True when a `// hring-lint: hot-path` comment sits on or up to four
-  /// lines above `line` (the method-name token's line).
-  [[nodiscard]] bool hot_path_annotated(std::uint32_t line) const {
-    for (const Comment& c : file_.comments) {
-      if (c.line + 4 >= line && c.line <= line &&
-          c.text.find("hring-lint: hot-path") != std::string_view::npos) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   ClassInfo& class_entry(const std::string& name, std::uint32_t line) {
     ClassInfo& cls = model_.classes[name];
     if (cls.name.empty()) {
@@ -222,7 +161,9 @@ class Parser {
       method.has_body = true;
       method.body_begin = i + 1;
       method.body_end = body_end_excl > 0 ? body_end_excl - 1 : i + 1;
-      method.hot_path = hot_path_annotated(method.line);
+      method.hot_path =
+          find_annotation(file_, method.line, 4, "hring-lint: hot-path") !=
+          nullptr;
       record(method, owner, cls);
       return body_end_excl;
     }
